@@ -19,27 +19,21 @@
 //! With `--trace-out`, every retry, fallback, and flow-degraded decision
 //! lands in the chrome-trace as a "chaos" instant.
 
-use sharebackup_bench::{parallel_map_indexed, write_trace_files, Args};
+use sharebackup_bench::campaign::{
+    print_sweep, run_world, sweep, traffic, Column, Tally, WAVE_EVERY_SECS,
+};
+use sharebackup_bench::{indexed_traces, parallel_map_indexed, traced, write_trace_files, Args};
 use sharebackup_core::scenario::{
     map_chaos_schedule, sharebackup_timeline, SbEvent, ShareBackupWorld,
 };
-use sharebackup_core::{ChaosConfig, Controller, ControllerConfig, ControllerStats};
-use sharebackup_flowsim::{FlowSim, FlowSpec};
-use sharebackup_routing::{DegradedMode, FlowKey};
+use sharebackup_core::{ChaosConfig, Controller, ControllerConfig};
+use sharebackup_routing::DegradedMode;
 use sharebackup_sim::{Duration, SimRng, Time};
-use sharebackup_telemetry::{TraceBuffer, Tracer};
-use sharebackup_topo::{FatTree, FatTreeConfig, GroupId, NodeId, ShareBackup, ShareBackupConfig};
+use sharebackup_topo::{FatTree, FatTreeConfig, GroupId, ShareBackup, ShareBackupConfig};
 use sharebackup_workload::{ChaosProfile, FailureInjector};
 
 /// Virtual time covered by each sweep trial.
 const HORIZON_SECS: u64 = 600;
-/// A fresh wave of flows starts this often.
-const WAVE_EVERY_SECS: u64 = 30;
-/// Bytes per flow: 1 Gbit, ~0.1 s on an idle 10 G link.
-const FLOW_BYTES: u64 = 125_000_000;
-/// A flow finishing more than this long after arrival counts against
-/// availability (an unimpeded transfer takes well under a second).
-const LATE_SECS: u64 = 5;
 
 /// One chaos scenario: a workload-side failure schedule plus
 /// recovery-machinery failure rates.
@@ -174,141 +168,6 @@ fn schedule(
     out
 }
 
-/// Waves of host-to-host flows covering the horizon: every
-/// `WAVE_EVERY_SECS` each host sends one flow to a rotating partner, so
-/// every pod keeps traffic in flight through every outage window.
-fn traffic(hosts: &[NodeId], horizon_secs: u64, wave_secs: u64) -> Vec<FlowSpec> {
-    let h = hosts.len();
-    let waves = usize::try_from(horizon_secs / wave_secs).expect("wave count fits usize");
-    let mut flows = Vec::with_capacity(waves * h);
-    for w in 0..waves {
-        let at = Time::from_secs(wave_secs * w as u64);
-        // Rotate partners across waves; stride h/4+1 walks across pods and
-        // never maps a host to itself.
-        let offset = 1 + (w * (h / 4 + 1)) % (h - 1);
-        for i in 0..h {
-            flows.push(FlowSpec {
-                key: FlowKey::new(hosts[i], hosts[(i + offset) % h], (w * h + i) as u64),
-                bytes: FLOW_BYTES,
-                arrival: at,
-            });
-        }
-    }
-    flows
-}
-
-/// Everything one trial reports, plain data so trials fan out across
-/// threads and collect in trial order.
-#[derive(Clone, Default)]
-struct TrialOut {
-    flows: u64,
-    completed: u64,
-    stalled: u64,
-    /// Flows finishing more than `LATE_SECS` after arrival, or never.
-    late: u64,
-    degraded_flows: u64,
-    degraded_secs: f64,
-    /// Sum of (completion − arrival) over completed flows, seconds.
-    latency_sum: f64,
-    injected: u64,
-    stats: ControllerStats,
-    trace: Option<TraceBuffer>,
-}
-
-impl TrialOut {
-    fn add(&mut self, other: &TrialOut) {
-        self.flows += other.flows;
-        self.completed += other.completed;
-        self.stalled += other.stalled;
-        self.late += other.late;
-        self.degraded_flows += other.degraded_flows;
-        self.degraded_secs += other.degraded_secs;
-        self.latency_sum += other.latency_sum;
-        self.injected += other.injected;
-        let (s, o) = (&mut self.stats, &other.stats);
-        s.node_failures += o.node_failures;
-        s.link_failures += o.link_failures;
-        s.host_link_failures += o.host_link_failures;
-        s.replacements += o.replacements;
-        s.fallbacks += o.fallbacks;
-        s.recovery_attempts += o.recovery_attempts;
-        s.doa_backups += o.doa_backups;
-        s.reconfig_retries += o.reconfig_retries;
-        s.reconfig_aborts += o.reconfig_aborts;
-        s.pool_exhausted += o.pool_exhausted;
-        s.halted_fallbacks += o.halted_fallbacks;
-        s.spurious_reports += o.spurious_reports;
-        s.false_convictions += o.false_convictions;
-        s.false_exonerations += o.false_exonerations;
-        s.escalations += o.escalations;
-        s.degraded_flows += o.degraded_flows;
-    }
-
-    /// Fraction of flows that finished on time.
-    fn availability(&self) -> f64 {
-        if self.flows == 0 {
-            return 1.0;
-        }
-        1.0 - self.late as f64 / self.flows as f64
-    }
-}
-
-/// Run one world (already loaded with a failure schedule and a degraded
-/// mode) over `flows` and tally the outcome.
-fn run_world(
-    mut world: ShareBackupWorld,
-    failures: &[(Time, SbEvent)],
-    flows: &[FlowSpec],
-    tracer: &Tracer,
-) -> (TrialOut, ShareBackupWorld) {
-    let (events, times) = sharebackup_timeline(&world, failures);
-    world.events = events;
-    let sim_out = FlowSim::new().run_traced(&mut world, flows, &times, tracer);
-    let horizon = Time::from_secs(HORIZON_SECS);
-    let end = sim_out
-        .flows
-        .iter()
-        .filter_map(|f| f.completed)
-        .max()
-        .unwrap_or(horizon)
-        .max(horizon);
-    // A finished flow is no longer degraded: close its spell at completion
-    // so degraded time measures time *spent running* on fallback paths.
-    for (spec, fo) in flows.iter().zip(&sim_out.flows) {
-        if let Some(t) = fo.completed {
-            world.tracker.mark_normal(spec.key.id, t);
-        }
-    }
-    world.tracker.finalize(end);
-
-    let late_after = Duration::from_secs(LATE_SECS);
-    let mut out = TrialOut {
-        flows: flows.len() as u64,
-        injected: failures.len() as u64,
-        ..TrialOut::default()
-    };
-    for (spec, fo) in flows.iter().zip(&sim_out.flows) {
-        match fo.completed {
-            Some(t) => {
-                out.completed += 1;
-                let took = t.since(spec.arrival);
-                out.latency_sum += took.as_secs_f64();
-                if took > late_after {
-                    out.late += 1;
-                }
-            }
-            None => out.late += 1,
-        }
-        if fo.ever_stalled {
-            out.stalled += 1;
-        }
-    }
-    out.degraded_flows = world.tracker.degraded_count() as u64;
-    out.degraded_secs = world.tracker.total_degraded_time().as_secs_f64();
-    out.stats = world.controller.stats;
-    (out, world)
-}
-
 /// One sweep trial: fresh world, chaos schedule from the trial's own child
 /// stream, waves of traffic, full accounting.
 fn run_trial(
@@ -319,7 +178,7 @@ fn run_trial(
     mode: DegradedMode,
     trial: usize,
     tracing: bool,
-) -> TrialOut {
+) -> Tally {
     let rng = SimRng::seed_from_u64(seed)
         .child(&format!("chaos-{}-{}-{}", case.name, mode_name(mode), trial));
     let sb = ShareBackup::build(ShareBackupConfig::new(k, n));
@@ -329,185 +188,119 @@ fn run_trial(
         retry_exhausted_on_repair: true,
         ..ControllerConfig::default()
     };
-    let mut controller = Controller::with_chaos(sb, cfg, case.machinery, rng.child("machinery"));
-    let (tracer, sink) = if tracing {
-        let (t, s) = Tracer::recording();
-        (t, Some(s))
-    } else {
-        (Tracer::off(), None)
-    };
-    controller.tracer = tracer.clone();
-    let world = ShareBackupWorld::new(controller, vec![]).with_degraded_mode(mode);
+    let (out, trace) = traced(tracing, |tracer| {
+        let mut controller =
+            Controller::with_chaos(sb, cfg, case.machinery, rng.child("machinery"));
+        controller.tracer = tracer.clone();
+        let world = ShareBackupWorld::new(controller, vec![]).with_degraded_mode(mode);
 
-    let probe = FatTree::build(FatTreeConfig::new(k));
-    let injector = FailureInjector::new(&probe.net);
-    let failures = schedule(
-        &world.controller.sb,
-        &probe,
-        &injector,
-        &rng.child("schedule"),
-        case,
-    );
-    let flows = traffic(probe.hosts(), HORIZON_SECS, WAVE_EVERY_SECS);
-    let (mut out, _world) = run_world(world, &failures, &flows, &tracer);
-    out.trace = sink.map(|s| s.borrow_mut().take());
-    out
+        let probe = FatTree::build(FatTreeConfig::new(k));
+        let injector = FailureInjector::new(&probe.net);
+        let failures = schedule(
+            &world.controller.sb,
+            &probe,
+            &injector,
+            &rng.child("schedule"),
+            case,
+        );
+        let flows = traffic(probe.hosts(), HORIZON_SECS, WAVE_EVERY_SECS);
+        let timeline = sharebackup_timeline(&world, &failures);
+        let horizon = Time::from_secs(HORIZON_SECS);
+        let (out, _world) = run_world(world, timeline, &flows, horizon, tracer);
+        Tally {
+            injected: failures.len() as u64,
+            ..out
+        }
+    });
+    Tally { trace, ..out }
 }
+
+const MODES: [DegradedMode; 2] = [DegradedMode::Stall, DegradedMode::Reroute];
 
 /// Aggregated sweep cell: one chaos case under one degraded mode.
 struct Cell {
     case: &'static str,
     mode: &'static str,
-    agg: TrialOut,
+    agg: Tally,
 }
 
-fn sweep(args: &Args) -> Vec<Cell> {
+fn run_sweep(args: &Args) -> Vec<Cell> {
     let case_list = cases();
-    let modes = [DegradedMode::Stall, DegradedMode::Reroute];
-    let trials = args.trials;
-    let total = case_list.len() * modes.len() * trials;
     let tracing = args.trace_out.is_some();
     let (k, n, seed) = (args.k, args.n, args.seed);
-    let results = parallel_map_indexed(args.jobs, total, |i| {
-        let case = &case_list[i / (modes.len() * trials)];
-        let mode = modes[(i / trials) % modes.len()];
-        run_trial(k, n, seed, case, mode, i % trials, tracing)
+    let cells = case_list.len() * MODES.len();
+    let aggs = sweep(args, cells, args.trace_out.as_deref(), |cell, trial| {
+        let (case, mode) = (&case_list[cell / MODES.len()], MODES[cell % MODES.len()]);
+        run_trial(k, n, seed, case, mode, trial, tracing)
     });
-    if let Some(path) = &args.trace_out {
-        let pairs: Vec<(u64, &TraceBuffer)> = results
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.trace.as_ref().map(|b| (i as u64, b)))
-            .collect();
-        write_trace_files(path, &pairs);
-    }
-    let mut cells = Vec::new();
-    for (ci, case) in case_list.iter().enumerate() {
-        for (mi, &mode) in modes.iter().enumerate() {
-            let mut agg = TrialOut::default();
-            let base = (ci * modes.len() + mi) * trials;
-            for r in &results[base..base + trials] {
-                agg.add(r);
-            }
-            cells.push(Cell {
-                case: case.name,
-                mode: mode_name(mode),
-                agg,
-            });
-        }
-    }
-    cells
-}
-
-fn print_digest(cells: &[Cell]) {
-    for c in cells {
-        let a = &c.agg;
-        let s = &a.stats;
-        println!(
-            "case={} mode={} flows={} completed={} late={} stalled={} degraded={} \
-             dtime={:.6} avail={:.6} injected={} node={} link={} hostlink={} repl={} \
-             fb={} doa={} retries={} aborts={} pool={} halted={} spur={} fconv={} \
-             fexon={} esc={}",
-            c.case,
-            c.mode,
-            a.flows,
-            a.completed,
-            a.late,
-            a.stalled,
-            a.degraded_flows,
-            a.degraded_secs,
-            a.availability(),
-            a.injected,
-            s.node_failures,
-            s.link_failures,
-            s.host_link_failures,
-            s.replacements,
-            s.fallbacks,
-            s.doa_backups,
-            s.reconfig_retries,
-            s.reconfig_aborts,
-            s.pool_exhausted,
-            s.halted_fallbacks,
-            s.spurious_reports,
-            s.false_convictions,
-            s.false_exonerations,
-            s.escalations,
-        );
-    }
-}
-
-fn cells_json(cells: &[Cell]) -> String {
-    let items: Vec<minijson::Value> = cells
-        .iter()
-        .map(|c| {
-            let a = &c.agg;
-            let s = &a.stats;
-            minijson::json!({
-                "case": c.case,
-                "mode": c.mode,
-                "flows": a.flows,
-                "completed": a.completed,
-                "late": a.late,
-                "stalled": a.stalled,
-                "degraded_flows": a.degraded_flows,
-                "degraded_flow_seconds": a.degraded_secs,
-                "availability": a.availability(),
-                "failures_injected": a.injected,
-                "replacements": s.replacements,
-                "fallbacks": s.fallbacks,
-                "doa_backups": s.doa_backups,
-                "reconfig_retries": s.reconfig_retries,
-                "reconfig_aborts": s.reconfig_aborts,
-                "pool_exhausted": s.pool_exhausted,
-                "halted_fallbacks": s.halted_fallbacks,
-                "spurious_reports": s.spurious_reports,
-                "false_convictions": s.false_convictions,
-                "false_exonerations": s.false_exonerations,
-                "escalations": s.escalations,
-            })
+    aggs.into_iter()
+        .enumerate()
+        .map(|(cell, agg)| Cell {
+            case: case_list[cell / MODES.len()].name,
+            mode: mode_name(MODES[cell % MODES.len()]),
+            agg,
         })
-        .collect();
-    minijson::to_string_pretty(&minijson::Value::Array(items)).expect("json")
+        .collect()
 }
 
-fn print_table(args: &Args, cells: &[Cell]) {
-    println!(
-        "Chaos availability, k={} n={} seed={} — {} s horizon, {} trials per cell",
-        args.k, args.n, args.seed, HORIZON_SECS, args.trials
-    );
-    println!(
-        "{:<14} {:<8} {:>7} {:>6} {:>6} {:>6} {:>10} {:>5} {:>5} {:>4} {:>5} {:>5} {:>5} {:>5} {:>4}",
-        "case", "mode", "avail%", "late", "stall", "degr", "d-time(s)", "repl", "fb",
-        "doa", "retry", "abort", "pool", "spur", "esc"
-    );
-    for c in cells {
-        let a = &c.agg;
-        let s = &a.stats;
-        println!(
-            "{:<14} {:<8} {:>6.2}% {:>6} {:>6} {:>6} {:>10.2} {:>5} {:>5} {:>4} {:>5} {:>5} {:>5} {:>5} {:>4}",
-            c.case,
-            c.mode,
-            100.0 * a.availability(),
-            a.late,
-            a.stalled,
-            a.degraded_flows,
-            a.degraded_secs,
-            s.replacements,
-            s.fallbacks,
-            s.doa_backups,
-            s.reconfig_retries,
-            s.reconfig_aborts,
-            s.pool_exhausted,
-            s.spurious_reports,
-            s.escalations,
-        );
-    }
-    println!();
-    println!("stall = the paper's behavior (flows on a dead slot wait for repair);");
-    println!("reroute = graceful degradation to global rerouting, every affected flow");
-    println!("counted. The quiet rows are the control: both modes identical, no chaos");
-    println!("counters, availability 100%.");
+fn columns() -> Vec<Column<Cell>> {
+    type C = Column<Cell>;
+    vec![
+        C::new("case", |c| c.case.into()).json("case").label("case", 14),
+        C::new("mode", |c| c.mode.into()).json("mode").label("mode", 8),
+        C::new("flows", |c| c.agg.flows.into()).json("flows"),
+        C::new("completed", |c| c.agg.completed.into()).json("completed"),
+        C::new("late", |c| c.agg.late.into()).json("late").table("late", 6, 0, ""),
+        C::new("stalled", |c| c.agg.stalled.into()).json("stalled").table("stall", 6, 0, ""),
+        C::new("degraded", |c| c.agg.degraded_flows.into())
+            .json("degraded_flows")
+            .table("degr", 6, 0, ""),
+        C::new("dtime", |c| c.agg.degraded_secs.into())
+            .json("degraded_flow_seconds")
+            .table("d-time(s)", 10, 2, ""),
+        C::new("avail", |c| c.agg.availability().into())
+            .json("availability")
+            .table("avail%", 7, 2, "%"),
+        C::new("injected", |c| c.agg.injected.into()).json("failures_injected"),
+        C::new("node", |c| c.agg.stats.node_failures.into()),
+        C::new("link", |c| c.agg.stats.link_failures.into()),
+        C::new("hostlink", |c| c.agg.stats.host_link_failures.into()),
+        C::new("repl", |c| c.agg.stats.replacements.into())
+            .json("replacements")
+            .table("repl", 5, 0, ""),
+        C::new("fb", |c| c.agg.stats.fallbacks.into()).json("fallbacks").table("fb", 5, 0, ""),
+        C::new("doa", |c| c.agg.stats.doa_backups.into())
+            .json("doa_backups")
+            .table("doa", 4, 0, ""),
+        C::new("retries", |c| c.agg.stats.reconfig_retries.into())
+            .json("reconfig_retries")
+            .table("retry", 5, 0, ""),
+        C::new("aborts", |c| c.agg.stats.reconfig_aborts.into())
+            .json("reconfig_aborts")
+            .table("abort", 5, 0, ""),
+        C::new("pool", |c| c.agg.stats.pool_exhausted.into())
+            .json("pool_exhausted")
+            .table("pool", 5, 0, ""),
+        C::new("halted", |c| c.agg.stats.halted_fallbacks.into()).json("halted_fallbacks"),
+        C::new("spur", |c| c.agg.stats.spurious_reports.into())
+            .json("spurious_reports")
+            .table("spur", 5, 0, ""),
+        C::new("fconv", |c| c.agg.stats.false_convictions.into()).json("false_convictions"),
+        C::new("fexon", |c| c.agg.stats.false_exonerations.into()).json("false_exonerations"),
+        C::new("esc", |c| c.agg.stats.escalations.into()).json("escalations").table("esc", 4, 0, ""),
+    ]
 }
+
+/// The sweep table's columns, by digest key.
+const TABLE: [&str; 15] = [
+    "case", "mode", "avail", "late", "stalled", "degraded", "dtime", "repl", "fb", "doa",
+    "retries", "aborts", "pool", "spur", "esc",
+];
+
+const FOOTER: &str = "stall = the paper's behavior (flows on a dead slot wait for repair);
+reroute = graceful degradation to global rerouting, every affected flow
+counted. The quiet rows are the control: both modes identical, no chaos
+counters, availability 100%.";
 
 /// The acceptance demo: a pool-exhausting burst (both agg slots of pod 0,
 /// n=1 — the second failure finds the pool empty) plus 5% DOA backups.
@@ -515,11 +308,10 @@ fn print_table(args: &Args, cells: &[Cell]) {
 /// (stalled until the repair crew shows up); under `reroute` they all
 /// complete on time over fallback paths, explicitly accounted.
 fn demo(args: &Args) {
-    let modes = [DegradedMode::Stall, DegradedMode::Reroute];
     let (k, n, seed) = (args.k, args.n, args.seed);
     let tracing = args.trace_out.is_some();
-    let results = parallel_map_indexed(args.jobs, modes.len(), |i| {
-        let mode = modes[i];
+    let results = parallel_map_indexed(args.jobs, MODES.len(), |i| {
+        let mode = MODES[i];
         let rng = SimRng::seed_from_u64(seed).child(&format!("demo-{}", mode_name(mode)));
         let sb = ShareBackup::build(ShareBackupConfig::new(k, n));
         let cfg = ControllerConfig {
@@ -533,43 +325,35 @@ fn demo(args: &Args) {
             doa_rate: 0.05,
             ..ChaosConfig::off()
         };
-        let mut controller =
-            Controller::with_chaos(sb, cfg, machinery, rng.child("machinery"));
-        let (tracer, sink) = if tracing {
-            let (t, s) = Tracer::recording();
-            (t, Some(s))
-        } else {
-            (Tracer::off(), None)
-        };
-        controller.tracer = tracer.clone();
-        let world = ShareBackupWorld::new(controller, vec![]).with_degraded_mode(mode);
+        let ((out, degraded_slots), trace) = traced(tracing, |tracer| {
+            let mut controller =
+                Controller::with_chaos(sb, cfg, machinery, rng.child("machinery"));
+            controller.tracer = tracer.clone();
+            let world = ShareBackupWorld::new(controller, vec![]).with_degraded_mode(mode);
 
-        // The burst: both agg slots of pod 0 die 200 ms apart.
-        let g = GroupId::agg(0);
-        let v0 = world.controller.sb.occupant(g.slot(0));
-        let v1 = world.controller.sb.occupant(g.slot(1));
-        let failures = vec![
-            (Time::from_secs(5), SbEvent::NodeFail(v0)),
-            (Time::from_secs_f64(5.2), SbEvent::NodeFail(v1)),
-        ];
-        let probe = FatTree::build(FatTreeConfig::new(k));
-        let flows = traffic(probe.hosts(), 60, 10);
-        let (mut out, world) = run_world(world, &failures, &flows, &tracer);
-        out.trace = sink.map(|s| s.borrow_mut().take());
-        let degraded_slots = world.controller.degraded_slots().count() as u64;
-        (out, degraded_slots)
+            // The burst: both agg slots of pod 0 die 200 ms apart.
+            let g = GroupId::agg(0);
+            let v0 = world.controller.sb.occupant(g.slot(0));
+            let v1 = world.controller.sb.occupant(g.slot(1));
+            let failures = vec![
+                (Time::from_secs(5), SbEvent::NodeFail(v0)),
+                (Time::from_secs_f64(5.2), SbEvent::NodeFail(v1)),
+            ];
+            let probe = FatTree::build(FatTreeConfig::new(k));
+            let flows = traffic(probe.hosts(), 60, 10);
+            let timeline = sharebackup_timeline(&world, &failures);
+            let horizon = Time::from_secs(HORIZON_SECS);
+            let (out, world) = run_world(world, timeline, &flows, horizon, tracer);
+            (out, world.controller.degraded_slots().count() as u64)
+        });
+        (Tally { trace, ..out }, degraded_slots)
     });
     if let Some(path) = &args.trace_out {
-        let pairs: Vec<(u64, &TraceBuffer)> = results
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (r, _))| r.trace.as_ref().map(|b| (i as u64, b)))
-            .collect();
-        write_trace_files(path, &pairs);
+        write_trace_files(path, &indexed_traces(results.iter().map(|(r, _)| r.trace.as_ref())));
     }
 
     if args.json {
-        let items: Vec<minijson::Value> = modes
+        let items: Vec<minijson::Value> = MODES
             .iter()
             .zip(&results)
             .map(|(&mode, (a, slots))| {
@@ -603,7 +387,7 @@ fn demo(args: &Args) {
         "{:<8} {:>6} {:>9} {:>6} {:>6} {:>6} {:>10} {:>5} {:>4}",
         "mode", "flows", "completed", "late", "stall", "degr", "d-time(s)", "pool", "doa"
     );
-    for (&mode, (a, _)) in modes.iter().zip(&results) {
+    for (&mode, (a, _)) in MODES.iter().zip(&results) {
         println!(
             "{:<8} {:>6} {:>9} {:>6} {:>6} {:>6} {:>10.2} {:>5} {:>4}",
             mode_name(mode),
@@ -636,19 +420,42 @@ fn main() {
     defaults.trials = 3;
     defaults.mode = "sweep".to_string();
     let args = Args::parse(defaults);
-    match args.mode.as_str() {
-        "demo" => demo(&args),
-        "digest" => {
-            let cells = sweep(&args);
-            print_digest(&cells);
-        }
-        _ => {
-            let cells = sweep(&args);
-            if args.json {
-                println!("{}", cells_json(&cells));
-            } else {
-                print_table(&args, &cells);
-            }
-        }
+    if args.mode == "demo" {
+        demo(&args);
+        return;
+    }
+    let cells = run_sweep(&args);
+    let title = "Chaos availability";
+    print_sweep(&args, title, HORIZON_SECS, &columns(), &TABLE, &cells, FOOTER);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quiet_case_is_the_control_arm() {
+        let quiet = &cases()[0];
+        assert_eq!(quiet.name, "quiet");
+        let run = |mode| run_trial(4, 1, 42, quiet, mode, 0, false);
+        let stall = run(DegradedMode::Stall);
+        assert_eq!(stall, run(DegradedMode::Reroute), "both modes identical");
+        let s = stall.stats;
+        let chaos_counters = [
+            s.doa_backups,
+            s.reconfig_retries,
+            s.reconfig_aborts,
+            s.pool_exhausted,
+            s.halted_fallbacks,
+            s.spurious_reports,
+            s.false_convictions,
+            s.false_exonerations,
+            s.escalations,
+            s.degraded_flows,
+        ];
+        assert_eq!(chaos_counters, [0; 10], "{s:?}");
+        assert_eq!(stall.injected, 0);
+        assert!(stall.flows > 0);
+        assert_eq!(stall.availability(), 1.0);
     }
 }

@@ -23,17 +23,19 @@
 //! blackout.
 
 #![allow(clippy::cast_possible_truncation)] // bounded grid/percent arithmetic
+use sharebackup_bench::campaign::{
+    print_sweep, run_world, sweep, traffic, Column, Tally, WAVE_EVERY_SECS,
+};
 use sharebackup_bench::{parallel_map_indexed, Args};
 use sharebackup_core::failover::{FailoverConfig, FailoverPlane, RecoveryPhase};
 use sharebackup_core::scenario::{
     map_chaos_schedule, sharebackup_timeline, SbEvent, ShareBackupWorld,
 };
-use sharebackup_core::{ChaosConfig, Controller, ControllerConfig, ControllerStats};
-use sharebackup_flowsim::{FlowSim, FlowSpec};
-use sharebackup_routing::{DegradedMode, FlowKey};
+use sharebackup_core::{ChaosConfig, Controller, ControllerConfig};
+use sharebackup_routing::DegradedMode;
 use sharebackup_sim::{Duration, SimRng, Time};
-use sharebackup_topo::{FatTree, FatTreeConfig, GroupId, NodeId, ShareBackupConfig};
-use sharebackup_topo::ShareBackup;
+use sharebackup_telemetry::Tracer;
+use sharebackup_topo::{FatTree, FatTreeConfig, GroupId, ShareBackup, ShareBackupConfig};
 use sharebackup_workload::{controller_crash_process, ChaosProfile, FailureInjector};
 
 /// Whole milliseconds of a duration (labels and digest keys).
@@ -43,13 +45,6 @@ fn ms(d: Duration) -> u64 {
 
 /// Virtual time covered by each sweep trial.
 const HORIZON_SECS: u64 = 300;
-/// A fresh wave of flows starts this often.
-const WAVE_EVERY_SECS: u64 = 30;
-/// Bytes per flow: 1 Gbit, ~0.1 s on an idle 10 G link.
-const FLOW_BYTES: u64 = 125_000_000;
-/// A flow finishing more than this long after arrival counts against
-/// availability.
-const LATE_SECS: u64 = 5;
 
 /// One sweep cell: a control-plane configuration.
 #[derive(Clone, Copy)]
@@ -75,110 +70,10 @@ fn grid() -> Vec<CellCfg> {
     cells
 }
 
-/// Waves of host-to-host flows covering the horizon (same shape as the
-/// chaos_availability harness).
-fn traffic(hosts: &[NodeId], horizon_secs: u64, wave_secs: u64) -> Vec<FlowSpec> {
-    let h = hosts.len();
-    let waves = usize::try_from(horizon_secs / wave_secs).expect("wave count fits usize");
-    let mut flows = Vec::with_capacity(waves * h);
-    for w in 0..waves {
-        let at = Time::from_secs(wave_secs * w as u64);
-        let offset = 1 + (w * (h / 4 + 1)) % (h - 1);
-        for i in 0..h {
-            flows.push(FlowSpec {
-                key: FlowKey::new(hosts[i], hosts[(i + offset) % h], (w * h + i) as u64),
-                bytes: FLOW_BYTES,
-                arrival: at,
-            });
-        }
-    }
-    flows
-}
-
-/// Everything one trial reports, plain data so trials fan out across
-/// threads and collect in trial order.
-#[derive(Clone, Default)]
-struct TrialOut {
-    flows: u64,
-    completed: u64,
-    late: u64,
-    stalled: u64,
-    degraded_flows: u64,
-    /// Data-plane failures injected / controller crashes scheduled.
-    injected: u64,
-    crashes_scheduled: u64,
-    /// Recoveries completed through the plane.
-    recovered: u64,
-    /// Failures still journaled (visibly unrecovered) at the horizon.
-    pending_end: u64,
-    /// Sum over completed recoveries of (completed − reported), seconds.
-    dwell_sum_s: f64,
-    /// Worst dwell seen, completed or still pending at the horizon.
-    dwell_max_s: f64,
-    /// Sum over pending entries of (horizon − reported), seconds.
-    pending_dwell_s: f64,
-    /// Sum of per-recovery modeled latency (includes channel penalties).
-    latency_sum_s: f64,
-    stats: ControllerStats,
-}
-
-impl TrialOut {
-    fn add(&mut self, other: &TrialOut) {
-        self.flows += other.flows;
-        self.completed += other.completed;
-        self.late += other.late;
-        self.stalled += other.stalled;
-        self.degraded_flows += other.degraded_flows;
-        self.injected += other.injected;
-        self.crashes_scheduled += other.crashes_scheduled;
-        self.recovered += other.recovered;
-        self.pending_end += other.pending_end;
-        self.dwell_sum_s += other.dwell_sum_s;
-        self.dwell_max_s = self.dwell_max_s.max(other.dwell_max_s);
-        self.pending_dwell_s += other.pending_dwell_s;
-        self.latency_sum_s += other.latency_sum_s;
-        let (s, o) = (&mut self.stats, &other.stats);
-        s.controller_crashes += o.controller_crashes;
-        s.controller_restores += o.controller_restores;
-        s.elections += o.elections;
-        s.control_reports += o.control_reports;
-        s.recoveries_resumed += o.recoveries_resumed;
-        s.control_losses += o.control_losses;
-        s.control_retries += o.control_retries;
-        s.control_exhausted += o.control_exhausted;
-        s.control_delays += o.control_delays;
-        s.replacements += o.replacements;
-        s.fallbacks += o.fallbacks;
-    }
-
-    fn availability(&self) -> f64 {
-        if self.flows == 0 {
-            return 1.0;
-        }
-        1.0 - self.late as f64 / self.flows as f64
-    }
-
-    fn mean_dwell_ms(&self) -> f64 {
-        if self.recovered == 0 {
-            return 0.0;
-        }
-        1e3 * self.dwell_sum_s / self.recovered as f64
-    }
-
-    /// Mean modeled recovery latency relative to `base` (1.0 = no channel
-    /// penalty at all).
-    fn latency_inflation(&self, base: Duration) -> f64 {
-        if self.recovered == 0 {
-            return 1.0;
-        }
-        (self.latency_sum_s / self.recovered as f64) / base.as_secs_f64()
-    }
-}
-
 /// One sweep trial: fresh world with a failover plane, Poisson node
 /// failures + Poisson controller crashes from the trial's own child
 /// streams, waves of traffic, full accounting.
-fn run_trial(k: usize, n: usize, seed: u64, cell: CellCfg, trial: usize) -> TrialOut {
+fn run_trial(k: usize, n: usize, seed: u64, cell: CellCfg, trial: usize) -> Tally {
     let rng = SimRng::seed_from_u64(seed).child(&format!(
         "failover-r{}-e{}-l{}-{}",
         cell.replicas,
@@ -202,7 +97,7 @@ fn run_trial(k: usize, n: usize, seed: u64, cell: CellCfg, trial: usize) -> Tria
         ..ChaosConfig::off()
     };
     let plane = FailoverPlane::with_chaos(fcfg, machinery, rng.child("control-chaos"));
-    let mut world = ShareBackupWorld::new(controller, vec![])
+    let world = ShareBackupWorld::new(controller, vec![])
         .with_degraded_mode(DegradedMode::Reroute)
         .with_failover(plane);
 
@@ -231,67 +126,28 @@ fn run_trial(k: usize, n: usize, seed: u64, cell: CellCfg, trial: usize) -> Tria
     }
     failures.sort_by_key(|&(t, _)| t);
 
-    let (events, times) = sharebackup_timeline(&world, &failures);
-    world.events = events;
+    let timeline = sharebackup_timeline(&world, &failures);
     let flows = traffic(probe.hosts(), HORIZON_SECS, WAVE_EVERY_SECS);
-    let sim_out = FlowSim::new().run(&mut world, &flows, &times);
-
-    let late_after = Duration::from_secs(LATE_SECS);
-    let mut out = TrialOut {
-        flows: flows.len() as u64,
+    let (out, _world) = run_world(world, timeline, &flows, horizon, &Tracer::off());
+    Tally {
         injected,
         crashes_scheduled,
-        ..TrialOut::default()
-    };
-    for (spec, fo) in flows.iter().zip(&sim_out.flows) {
-        match fo.completed {
-            Some(t) => {
-                out.completed += 1;
-                if t.since(spec.arrival) > late_after {
-                    out.late += 1;
-                }
-            }
-            None => out.late += 1,
-        }
-        if fo.ever_stalled {
-            out.stalled += 1;
-        }
+        ..out
     }
-    out.degraded_flows = world.tracker.degraded_count() as u64;
-
-    out.recovered = world.failover_log.len() as u64;
-    for done in &world.failover_log {
-        let dwell = done.completed_at.since(done.reported_at).as_secs_f64();
-        out.dwell_sum_s += dwell;
-        out.dwell_max_s = out.dwell_max_s.max(dwell);
-        out.latency_sum_s += done.recovery.latency.as_secs_f64();
-    }
-    // lint:allow(unwrap) — this world was built with a plane above
-    let plane = world.failover.as_ref().expect("plane attached");
-    for pending in plane.pending() {
-        let dwell = horizon.saturating_since(pending.reported_at).as_secs_f64();
-        out.pending_end += 1;
-        out.pending_dwell_s += dwell;
-        out.dwell_max_s = out.dwell_max_s.max(dwell);
-    }
-    out.stats = world.controller.stats;
-    out
 }
 
 /// Aggregated sweep cell.
 struct Cell {
     cfg: CellCfg,
     base_latency: Duration,
-    agg: TrialOut,
+    agg: Tally,
 }
 
-fn sweep(args: &Args) -> Vec<Cell> {
+fn run_sweep(args: &Args) -> Vec<Cell> {
     let cells = grid();
-    let trials = args.trials;
-    let total = cells.len() * trials;
     let (k, n, seed) = (args.k, args.n, args.seed);
-    let results = parallel_map_indexed(args.jobs, total, |i| {
-        run_trial(k, n, seed, cells[i / trials], i % trials)
+    let aggs = sweep(args, cells.len(), None, |cell, trial| {
+        run_trial(k, n, seed, cells[cell], trial)
     });
     // The closed-form ShareBackup latency the inflation is measured
     // against is deployment-level, not cell-level.
@@ -304,135 +160,88 @@ fn sweep(args: &Args) -> Vec<Cell> {
     );
     let base_latency = probe_world.recovery_latency();
     cells
-        .iter()
-        .enumerate()
-        .map(|(ci, &cfg)| {
-            let mut agg = TrialOut::default();
-            for r in &results[ci * trials..(ci + 1) * trials] {
-                agg.add(r);
-            }
-            Cell {
-                cfg,
-                base_latency,
-                agg,
-            }
+        .into_iter()
+        .zip(aggs)
+        .map(|(cfg, agg)| Cell {
+            cfg,
+            base_latency,
+            agg,
         })
         .collect()
 }
 
-fn print_digest(cells: &[Cell]) {
-    for c in cells {
-        let a = &c.agg;
-        let s = &a.stats;
-        println!(
-            "replicas={} election_ms={} loss={:.2} flows={} completed={} late={} \
-             stalled={} degraded={} avail={:.6} injected={} crashes_sched={} \
-             recovered={} pending_end={} dwell_mean_ms={:.6} dwell_max_ms={:.6} \
-             pending_dwell_s={:.6} inflation={:.6} crashes={} restores={} \
-             elections={} reports={} resumed={} losses={} retries={} exhausted={} \
-             delays={} repl={} fb={}",
-            c.cfg.replicas,
-            ms(c.cfg.election),
-            c.cfg.loss,
-            a.flows,
-            a.completed,
-            a.late,
-            a.stalled,
-            a.degraded_flows,
-            a.availability(),
-            a.injected,
-            a.crashes_scheduled,
-            a.recovered,
-            a.pending_end,
-            a.mean_dwell_ms(),
-            1e3 * a.dwell_max_s,
-            a.pending_dwell_s,
-            a.latency_inflation(c.base_latency),
-            s.controller_crashes,
-            s.controller_restores,
-            s.elections,
-            s.control_reports,
-            s.recoveries_resumed,
-            s.control_losses,
-            s.control_retries,
-            s.control_exhausted,
-            s.control_delays,
-            s.replacements,
-            s.fallbacks,
-        );
-    }
+fn columns() -> Vec<Column<Cell>> {
+    type C = Column<Cell>;
+    vec![
+        C::new("replicas", |c| (c.cfg.replicas as u64).into())
+            .json("replicas")
+            .table("repl", 4, 0, ""),
+        C::new("election_ms", |c| ms(c.cfg.election).into())
+            .json("election_ms")
+            .table("elect", 8, 0, "ms"),
+        C::new("loss", |c| c.cfg.loss.into())
+            .prec(2)
+            .json("control_loss")
+            .table("loss", 5, 2, ""),
+        C::new("flows", |c| c.agg.flows.into()).json("flows"),
+        C::new("completed", |c| c.agg.completed.into()).json("completed"),
+        C::new("late", |c| c.agg.late.into()).json("late"),
+        C::new("stalled", |c| c.agg.stalled.into()).json("stalled"),
+        C::new("degraded", |c| c.agg.degraded_flows.into()).json("degraded_flows"),
+        C::new("avail", |c| c.agg.availability().into())
+            .json("availability")
+            .table("avail%", 7, 2, "%"),
+        C::new("injected", |c| c.agg.injected.into()).json("failures_injected"),
+        C::new("crashes_sched", |c| c.agg.crashes_scheduled.into())
+            .json("controller_crashes_scheduled"),
+        C::new("recovered", |c| c.agg.recovered.into())
+            .json("recovered")
+            .table("recov", 5, 0, ""),
+        C::new("pending_end", |c| c.agg.pending_end.into())
+            .json("unrecovered_at_horizon")
+            .table("pend", 5, 0, ""),
+        C::new("dwell_mean_ms", |c| c.agg.mean_dwell_ms().into())
+            .json("dwell_mean_ms")
+            .table("dwell(ms)", 9, 2, ""),
+        C::new("dwell_max_ms", |c| (1e3 * c.agg.dwell_max_s).into())
+            .json("dwell_max_ms")
+            .table("max(ms)", 8, 1, ""),
+        C::new("pending_dwell_s", |c| c.agg.pending_dwell_s.into())
+            .json("unrecovered_dwell_s")
+            .table("unrec-s", 10, 2, ""),
+        C::new("inflation", |c| c.agg.latency_inflation(c.base_latency).into())
+            .json("latency_inflation")
+            .table("inflation", 10, 4, ""),
+        C::new("crashes", |c| c.agg.stats.controller_crashes.into()),
+        C::new("restores", |c| c.agg.stats.controller_restores.into()),
+        C::new("elections", |c| c.agg.stats.elections.into())
+            .json("elections")
+            .table("elec", 5, 0, ""),
+        C::new("reports", |c| c.agg.stats.control_reports.into()),
+        C::new("resumed", |c| c.agg.stats.recoveries_resumed.into())
+            .json("recoveries_resumed")
+            .table("resume", 6, 0, ""),
+        C::new("losses", |c| c.agg.stats.control_losses.into()).json("control_losses"),
+        C::new("retries", |c| c.agg.stats.control_retries.into())
+            .json("control_retries")
+            .table("retries", 7, 0, ""),
+        C::new("exhausted", |c| c.agg.stats.control_exhausted.into()).json("control_exhausted"),
+        C::new("delays", |c| c.agg.stats.control_delays.into()),
+        C::new("repl", |c| c.agg.stats.replacements.into()),
+        C::new("fb", |c| c.agg.stats.fallbacks.into()),
+    ]
 }
 
-fn cells_json(cells: &[Cell]) -> String {
-    let items: Vec<minijson::Value> = cells
-        .iter()
-        .map(|c| {
-            let a = &c.agg;
-            let s = &a.stats;
-            minijson::json!({
-                "replicas": c.cfg.replicas,
-                "election_ms": ms(c.cfg.election),
-                "control_loss": c.cfg.loss,
-                "flows": a.flows,
-                "completed": a.completed,
-                "late": a.late,
-                "stalled": a.stalled,
-                "degraded_flows": a.degraded_flows,
-                "availability": a.availability(),
-                "failures_injected": a.injected,
-                "controller_crashes_scheduled": a.crashes_scheduled,
-                "recovered": a.recovered,
-                "unrecovered_at_horizon": a.pending_end,
-                "dwell_mean_ms": a.mean_dwell_ms(),
-                "dwell_max_ms": 1e3 * a.dwell_max_s,
-                "unrecovered_dwell_s": a.pending_dwell_s,
-                "latency_inflation": a.latency_inflation(c.base_latency),
-                "elections": s.elections,
-                "recoveries_resumed": s.recoveries_resumed,
-                "control_losses": s.control_losses,
-                "control_retries": s.control_retries,
-                "control_exhausted": s.control_exhausted,
-            })
-        })
-        .collect();
-    minijson::to_string_pretty(&minijson::Value::Array(items)).expect("json")
-}
+/// The sweep table's columns, by digest key.
+const TABLE: [&str; 13] = [
+    "replicas", "election_ms", "loss", "avail", "recovered", "pending_end", "dwell_mean_ms",
+    "dwell_max_ms", "pending_dwell_s", "inflation", "elections", "retries", "resumed",
+];
 
-fn print_table(args: &Args, cells: &[Cell]) {
-    println!(
-        "Controller failover, k={} n={} seed={} — {} s horizon, {} trials per cell",
-        args.k, args.n, args.seed, HORIZON_SECS, args.trials
-    );
-    println!(
-        "{:>4} {:>8} {:>5} {:>7} {:>5} {:>5} {:>9} {:>8} {:>10} {:>10} {:>5} {:>7} {:>6}",
-        "repl", "elect", "loss", "avail%", "recov", "pend", "dwell(ms)", "max(ms)",
-        "unrec-s", "inflation", "elec", "retries", "resume"
-    );
-    for c in cells {
-        let a = &c.agg;
-        println!(
-            "{:>4} {:>6}ms {:>5.2} {:>6.2}% {:>5} {:>5} {:>9.2} {:>8.1} {:>10.2} {:>10.4} {:>5} {:>7} {:>6}",
-            c.cfg.replicas,
-            ms(c.cfg.election),
-            c.cfg.loss,
-            100.0 * a.availability(),
-            a.recovered,
-            a.pending_end,
-            a.mean_dwell_ms(),
-            1e3 * a.dwell_max_s,
-            a.pending_dwell_s,
-            a.latency_inflation(c.base_latency),
-            a.stats.elections,
-            a.stats.control_retries,
-            a.stats.recoveries_resumed,
-        );
-    }
-    println!();
-    println!("dwell = report → completion (blackout + retry deferral); inflation = mean");
-    println!("modeled recovery latency / closed-form ShareBackup latency (1.0 = free).");
-    println!("A single replica turns every controller crash into a restore-bounded");
-    println!("outage; replicas 2+ cap it at detection + election.");
-}
+const FOOTER: &str = "dwell = report → completion (blackout + retry deferral); inflation = mean
+modeled recovery latency / closed-form ShareBackup latency (1.0 = free).
+A single replica turns every controller crash into a restore-bounded
+outage; replicas 2+ cap it at detection + election.";
 
 /// The acceptance demo: the primary crashes exactly between diagnosis and
 /// reconfiguration of a live recovery; the elected successor reconciles
@@ -452,7 +261,7 @@ fn demo(args: &Args) {
         let blackout = fcfg.blackout();
         let mut plane = FailoverPlane::new(fcfg);
         plane.force_crash_at(RecoveryPhase::Diagnosed);
-        let mut world = ShareBackupWorld::new(controller, vec![])
+        let world = ShareBackupWorld::new(controller, vec![])
             .with_degraded_mode(DegradedMode::Reroute)
             .with_failover(plane);
 
@@ -466,41 +275,31 @@ fn demo(args: &Args) {
         let at = times.partition_point(|&t| t <= resume_at);
         times.insert(at, resume_at);
         events.insert(at, SbEvent::PollRepairs);
-        world.events = events;
         let probe = FatTree::build(FatTreeConfig::new(k));
         let flows = traffic(probe.hosts(), 60, 10);
-        let sim_out = FlowSim::new().run(&mut world, &flows, &times);
-
-        let completed = sim_out.flows.iter().filter(|f| f.completed.is_some()).count();
+        let horizon = Time::from_secs(HORIZON_SECS);
+        let (out, world) = run_world(world, (events, times), &flows, horizon, &Tracer::off());
         let dwell = world
             .failover_log
             .first()
             .map(|d| d.completed_at.since(d.reported_at))
             .unwrap_or(Duration::ZERO);
-        (
-            election,
-            blackout,
-            dwell,
-            completed,
-            flows.len(),
-            world.failover_log.len(),
-            world.controller.stats,
-        )
+        (election, blackout, dwell, out)
     });
 
     if args.json {
         let items: Vec<minijson::Value> = results
             .iter()
-            .map(|(election, blackout, dwell, completed, flows, recovered, stats)| {
+            .map(|(election, blackout, dwell, out)| {
                 minijson::json!({
                     "election_ms": ms(*election),
                     "blackout_ms": blackout.as_millis_f64(),
                     "dwell_ms": dwell.as_millis_f64(),
-                    "flows": *flows as u64,
-                    "completed": *completed as u64,
-                    "recovered": *recovered as u64,
-                    "elections": stats.elections,
-                    "recoveries_resumed": stats.recoveries_resumed,
+                    "flows": out.flows,
+                    "completed": out.completed,
+                    "recovered": out.recovered,
+                    "elections": out.stats.elections,
+                    "recoveries_resumed": out.stats.recoveries_resumed,
                 })
             })
             .collect();
@@ -516,17 +315,17 @@ fn demo(args: &Args) {
         "{:>8} {:>12} {:>10} {:>10} {:>9} {:>5} {:>7}",
         "election", "blackout(ms)", "dwell(ms)", "completed", "recovered", "elec", "resumed"
     );
-    for (election, blackout, dwell, completed, flows, recovered, stats) in &results {
+    for (election, blackout, dwell, out) in &results {
         println!(
             "{:>6}ms {:>12} {:>10} {:>6}/{:<3} {:>9} {:>5} {:>7}",
             ms(*election),
             blackout.as_millis_f64(),
             dwell.as_millis_f64(),
-            completed,
-            flows,
-            recovered,
-            stats.elections,
-            stats.recoveries_resumed,
+            out.completed,
+            out.flows,
+            out.recovered,
+            out.stats.elections,
+            out.stats.recoveries_resumed,
         );
     }
     println!();
@@ -541,19 +340,11 @@ fn main() {
     defaults.trials = 2;
     defaults.mode = "sweep".to_string();
     let args = Args::parse(defaults);
-    match args.mode.as_str() {
-        "demo" => demo(&args),
-        "digest" => {
-            let cells = sweep(&args);
-            print_digest(&cells);
-        }
-        _ => {
-            let cells = sweep(&args);
-            if args.json {
-                println!("{}", cells_json(&cells));
-            } else {
-                print_table(&args, &cells);
-            }
-        }
+    if args.mode == "demo" {
+        demo(&args);
+        return;
     }
+    let cells = run_sweep(&args);
+    let title = "Controller failover";
+    print_sweep(&args, title, HORIZON_SECS, &columns(), &TABLE, &cells, FOOTER);
 }

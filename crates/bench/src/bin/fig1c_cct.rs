@@ -18,7 +18,7 @@
 //! and flows keep their original paths.
 
 use sharebackup_bench::fig1::{run_fig1c_trial_traced, AbstractFailure, Fig1Setup};
-use sharebackup_bench::{parallel_map_indexed, write_trace_files, Args};
+use sharebackup_bench::{indexed_traces, parallel_map_indexed, write_trace_files, Args};
 use sharebackup_sim::{Cdf, SimRng};
 use sharebackup_topo::{FatTree, FatTreeConfig};
 
@@ -58,15 +58,7 @@ fn main() {
     });
 
     if let Some(path) = &args.trace_out {
-        let buffers: Vec<(u64, &sharebackup_telemetry::TraceBuffer)> = trials
-            .iter()
-            .enumerate()
-            .filter_map(|(trial, t)| {
-                let tid = u64::try_from(trial).unwrap_or(u64::MAX);
-                t.trace.as_ref().map(|b| (tid, b))
-            })
-            .collect();
-        write_trace_files(path, &buffers);
+        write_trace_files(path, &indexed_traces(trials.iter().map(|t| t.trace.as_ref())));
     }
 
     let mut sd_ft: Vec<f64> = Vec::new();

@@ -11,13 +11,14 @@
 //! failure-free network.
 
 use sharebackup_bench::{parallel_map_indexed, Args};
+use sharebackup_core::scenario::{map_chaos_schedule, SbEvent};
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::properties::total_usable_capacity;
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_topo::{
     FatTree, FatTreeConfig, NodeKind, ShareBackup, ShareBackupConfig,
 };
-use sharebackup_workload::{FailureInjector, FailureKind};
+use sharebackup_workload::{FailureEvent, FailureInjector, FailureKind};
 
 const WEEK: u64 = 7 * 24 * 3600;
 
@@ -48,21 +49,21 @@ fn stranded_hosts(net: &sharebackup_topo::Network) -> usize {
         .count()
 }
 
-fn run_fattree(k: usize, seed: u64, mtbf: Duration, outage: Duration) -> Tally {
-    let mut ft = FatTree::build(FatTreeConfig::new(k));
-    let injector = FailureInjector::new(&ft.net);
+/// The week of failures both systems replay: Poisson arrivals over a
+/// k-ary fat-tree's switches and links, mostly node failures.
+fn week_of_failures(k: usize, seed: u64, mtbf: Duration, outage: Duration) -> Vec<FailureEvent> {
+    let probe = FatTree::build(FatTreeConfig::new(k));
+    let injector = FailureInjector::new(&probe.net);
     let mut rng = SimRng::seed_from_u64(seed);
-    let events = injector.poisson_process(
-        &mut rng,
-        Time::from_secs(WEEK),
-        mtbf,
-        outage,
-        0.7, // mostly node failures
-    );
+    injector.poisson_process(&mut rng, Time::from_secs(WEEK), mtbf, outage, 0.7)
+}
+
+fn run_fattree(k: usize, events: &[FailureEvent]) -> Tally {
+    let mut ft = FatTree::build(FatTreeConfig::new(k));
     let full = total_usable_capacity(&ft.net);
     // Build a merged chronological change list: (time, apply/revert).
     let mut changes: Vec<(Time, FailureKind, bool)> = Vec::new();
-    for ev in &events {
+    for ev in events {
         changes.push((ev.at, ev.kind, true));
         changes.push((ev.repaired_at().min(Time::from_secs(WEEK)), ev.kind, false));
     }
@@ -92,25 +93,16 @@ fn run_fattree(k: usize, seed: u64, mtbf: Duration, outage: Duration) -> Tally {
     tally
 }
 
-fn run_sharebackup(k: usize, n: usize, seed: u64, mtbf: Duration, outage: Duration) -> Tally {
+fn run_sharebackup(k: usize, n: usize, outage: Duration, events: &[FailureEvent]) -> Tally {
     let sb = ShareBackup::build(ShareBackupConfig::new(k, n));
     let cfg = ControllerConfig {
         switch_repair_time: outage, // same technician model as the baseline
         ..ControllerConfig::default()
     };
     let mut ctl = Controller::new(sb, cfg);
-    // Same failure schedule as the baseline (same seed & process), applied
-    // to physical occupants of the same structural positions.
-    let probe_net = FatTree::build(FatTreeConfig::new(k));
-    let injector = FailureInjector::new(&probe_net.net);
-    let mut rng = SimRng::seed_from_u64(seed);
-    let events = injector.poisson_process(
-        &mut rng,
-        Time::from_secs(WEEK),
-        mtbf,
-        outage,
-        0.7,
-    );
+    // The baseline's failure schedule, applied to the physical occupants
+    // of the same structural positions.
+    let probe = FatTree::build(FatTreeConfig::new(k));
     let full = total_usable_capacity(&ctl.sb.slots.net);
     let mut tally = Tally {
         capacity_integral: 0.0,
@@ -127,40 +119,36 @@ fn run_sharebackup(k: usize, n: usize, seed: u64, mtbf: Duration, outage: Durati
         ))
         .as_secs_f64();
     let mut last = Time::ZERO;
-    for ev in &events {
+    for ev in events {
         // Integrate the (healthy or degraded) capacity up to this failure.
         let dt = ev.at.saturating_since(last).as_secs_f64();
         tally.capacity_integral += total_usable_capacity(&ctl.sb.slots.net) * dt;
         tally.stranded_host_seconds += stranded_hosts(&ctl.sb.slots.net) as f64 * dt;
         last = ev.at;
         ctl.poll_repairs(ev.at);
-        // Map the structural failure onto the occupant.
-        let FailureKind::Node(node) = ev.kind else {
-            // Link failure: break the corresponding occupant interface is
-            // equivalent for capacity purposes; treat as node-level blip on
-            // one link — approximate by skipping (links are a minority and
-            // cost one backup just like nodes).
-            continue;
-        };
-        let Some(slot) = ctl.sb.node_slot(node) else {
-            continue;
-        };
-        let victim = ctl.sb.occupant(slot);
-        if !ctl.sb.phys(victim).healthy {
-            continue;
-        }
-        tally.failures += 1;
-        ctl.sb.set_phys_healthy(victim, false);
-        let r = ctl.handle_node_failure(victim, ev.at);
-        if r.fully_recovered() {
-            // Cost: the blip. Charge the slot's share of capacity for it.
-            let k_links = ctl.sb.k() as f64;
-            tally.capacity_integral -=
-                full * (k_links / ctl.sb.slots.net.link_count() as f64) * blip;
-        } else {
-            tally.unmasked += 1;
-            // The slot stays down until a repair refills the pool; the
-            // capacity integral picks that up naturally via slot state.
+        // Map the structural failure onto today's occupants: a node
+        // failure kills one, a link failure breaks one of its interfaces.
+        for (at, sb_ev) in map_chaos_schedule(&ctl.sb, &probe.net, std::slice::from_ref(ev)) {
+            if let SbEvent::NodeFail(victim) = sb_ev {
+                if !ctl.sb.phys(victim).healthy {
+                    continue;
+                }
+            }
+            let Some(report) = sb_ev.report() else {
+                continue;
+            };
+            tally.failures += 1;
+            sb_ev.inject(&mut ctl.sb);
+            if report.drive(&mut ctl, at).fully_recovered() {
+                // Cost: the blip. Charge the slot's share of capacity for it.
+                let k_links = ctl.sb.k() as f64;
+                tally.capacity_integral -=
+                    full * (k_links / ctl.sb.slots.net.link_count() as f64) * blip;
+            } else {
+                tally.unmasked += 1;
+                // The slot stays down until a repair refills the pool; the
+                // capacity integral picks that up naturally via slot state.
+            }
         }
     }
     let dt = Time::from_secs(WEEK).saturating_since(last).as_secs_f64();
@@ -183,13 +171,14 @@ fn main() {
         _ => (Duration::from_secs(12 * 3600), Duration::from_secs(300)),
     };
 
-    // Both systems replay the same week of failures from the same seed but
-    // never share state, so the two runs fan out across `--jobs` threads.
+    // Both systems replay the same week of failures but never share state,
+    // so the two runs fan out across `--jobs` threads.
+    let events = week_of_failures(args.k, args.seed, mtbf, outage);
     let mut runs = parallel_map_indexed(args.jobs, 2, |i| {
         if i == 0 {
-            run_fattree(args.k, args.seed, mtbf, outage)
+            run_fattree(args.k, &events)
         } else {
-            run_sharebackup(args.k, args.n, args.seed, mtbf, outage)
+            run_sharebackup(args.k, args.n, outage, &events)
         }
     });
     let sb = runs.pop().expect("two runs");
@@ -241,4 +230,24 @@ fn main() {
     println!("rerouting eats every outage in full; ShareBackup's cost is ~1.3 ms per");
     println!("failure (plus any pool-exhaustion window), and no host is ever stranded");
     println!("unless the pool runs dry.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn link_failures_reach_sharebackup() {
+        let (k, outage) = (4, Duration::from_secs(300));
+        let probe = FatTree::build(FatTreeConfig::new(k));
+        let injector = FailureInjector::new(&probe.net);
+        let mut rng = SimRng::seed_from_u64(7);
+        let mtbf = Duration::from_secs(6 * 3600);
+        let events = injector.poisson_process(&mut rng, Time::from_secs(WEEK), mtbf, outage, 0.0);
+        assert!(!events.is_empty());
+        assert!(events.iter().all(|e| matches!(e.kind, FailureKind::Link(_))));
+        let sb = run_sharebackup(k, 1, outage, &events);
+        assert_eq!(sb.failures, events.len(), "every link failure is applied");
+        assert_eq!(run_fattree(k, &events).failures, sb.failures);
+    }
 }

@@ -7,10 +7,9 @@
 //! With `--trace-out`, each (technology, failure) case records its engine
 //! events and recovery span tree onto its own chrome-trace track.
 
-use sharebackup_bench::{write_trace_files, Args};
+use sharebackup_bench::{indexed_traces, traced, write_trace_files, Args};
 use sharebackup_core::{simulate_recovery_traced, Controller, ControllerConfig};
 use sharebackup_sim::{Duration, Time};
-use sharebackup_telemetry::{TraceBuffer, Tracer};
 use sharebackup_topo::{CircuitTech, GroupId, ShareBackup, ShareBackupConfig};
 
 fn main() {
@@ -26,38 +25,27 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    let mut buffers: Vec<TraceBuffer> = Vec::new();
+    let mut buffers = Vec::new();
     for tech in [CircuitTech::Crosspoint, CircuitTech::Mems2D] {
         for &(name, slot) in &cases {
             let sb = ShareBackup::build(ShareBackupConfig::new(k, 1).with_tech(tech));
             let mut ctl = Controller::new(sb, ControllerConfig::default());
-            let (tracer, sink) = if args.trace_out.is_some() {
-                let (t, s) = Tracer::recording();
-                (t, Some(s))
-            } else {
-                (Tracer::off(), None)
-            };
-            let tl = simulate_recovery_traced(
-                &mut ctl,
-                slot,
-                Time::from_millis(5),
-                Duration::from_micros(321),
-                &tracer,
-            );
-            if let Some(s) = sink {
-                buffers.push(s.borrow_mut().take());
-            }
+            let (tl, buf) = traced(args.trace_out.is_some(), |tracer| {
+                simulate_recovery_traced(
+                    &mut ctl,
+                    slot,
+                    Time::from_millis(5),
+                    Duration::from_micros(321),
+                    tracer,
+                )
+            });
+            buffers.push(buf);
             rows.push((tech, name, tl));
         }
     }
 
     if let Some(path) = &args.trace_out {
-        let tracks: Vec<(u64, &TraceBuffer)> = buffers
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (u64::try_from(i).unwrap_or(u64::MAX), b))
-            .collect();
-        write_trace_files(path, &tracks);
+        write_trace_files(path, &indexed_traces(buffers.iter().map(Option::as_ref)));
     }
 
     if args.json {

@@ -23,6 +23,7 @@ use sharebackup_topo::{
 use sharebackup_workload::{CoflowTrace, TraceConfig};
 
 use crate::racks::RackMap;
+use crate::traced;
 
 /// Parameters of a Fig. 1-style experiment.
 #[derive(Clone, Copy, Debug)]
@@ -471,19 +472,14 @@ pub fn run_fig1c_trial_traced(
     let fail_ft = run_fattree_failure(setup, &trace, failure);
     let base_f10 = run_f10_baseline(setup, &trace);
     let fail_f10 = run_f10_failure(setup, &trace, failure);
-    let (tracer, sink) = if tracing {
-        let (t, s) = Tracer::recording();
-        (t, Some(s))
-    } else {
-        (Tracer::off(), None)
-    };
-    let (fail_sb, _world) = run_sharebackup_failure_traced(setup, &trace, failure, &tracer);
-    let buf = sink.map(|s| s.borrow_mut().take());
+    let ((fail_sb, _world), trace_buf) = traced(tracing, |tracer| {
+        run_sharebackup_failure_traced(setup, &trace, failure, tracer)
+    });
     Fig1cTrial {
         ft: slowdowns(&base_ft, &fail_ft),
         f10: slowdowns(&base_f10, &fail_f10),
         sb: slowdowns(&base_ft, &fail_sb),
-        trace: buf,
+        trace: trace_buf,
     }
 }
 

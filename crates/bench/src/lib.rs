@@ -6,12 +6,13 @@
 //! for the experiment index and EXPERIMENTS.md for recorded results.
 
 pub mod args;
+pub mod campaign;
 pub mod fig1;
 pub mod parallel;
 pub mod racks;
 pub mod trace;
 
-pub use args::Args;
+pub use args::{Args, ArgsError};
 pub use parallel::parallel_map_indexed;
 pub use racks::RackMap;
-pub use trace::write_trace_files;
+pub use trace::{indexed_traces, traced, write_trace_files};

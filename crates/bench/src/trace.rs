@@ -5,7 +5,32 @@
 //! `<path>.digest` (greppable, byte-diffable in CI). Buffers are passed in
 //! trial order, so the output is byte-identical at any `--jobs` value.
 
-use sharebackup_telemetry::{chrome_trace, text_digest, TraceBuffer};
+use sharebackup_telemetry::{chrome_trace, text_digest, TraceBuffer, Tracer};
+
+/// Run `f` with a recording tracer when `tracing` (the off tracer
+/// otherwise) and return its result with the recorded buffer. The tracer
+/// never leaves the call, so `f` may run on a worker thread.
+pub fn traced<R>(tracing: bool, f: impl FnOnce(&Tracer) -> R) -> (R, Option<TraceBuffer>) {
+    if !tracing {
+        return (f(&Tracer::off()), None);
+    }
+    let (tracer, sink) = Tracer::recording();
+    let out = f(&tracer);
+    let buf = sink.borrow_mut().take();
+    (out, Some(buf))
+}
+
+/// Pair each recorded buffer with its position in `buffers` (its track id
+/// in the trace files), skipping runs that recorded nothing.
+pub fn indexed_traces<'a>(
+    buffers: impl IntoIterator<Item = Option<&'a TraceBuffer>>,
+) -> Vec<(u64, &'a TraceBuffer)> {
+    buffers
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, b)| b.map(|b| (u64::try_from(i).unwrap_or(u64::MAX), b)))
+        .collect()
+}
 
 /// Write the chrome-trace JSON to `path` and the text digest to
 /// `<path>.digest`, then note both on stderr.
@@ -35,18 +60,31 @@ pub fn write_trace_files(path: &str, buffers: &[(u64, &TraceBuffer)]) {
 mod tests {
     use super::*;
     use sharebackup_sim::Time;
-    use sharebackup_telemetry::Tracer;
+
+    #[test]
+    fn traced_records_only_when_asked() {
+        let span = |t: &Tracer| t.span(Time::ZERO, Time::from_micros(1), "test", "span");
+        let ((), off) = traced(false, span);
+        assert!(off.is_none());
+        let ((), on) = traced(true, span);
+        let on = on.expect("recorded");
+        assert_eq!(on.spans_in("test").len(), 1);
+        let pairs = indexed_traces([None, Some(&on)]);
+        assert_eq!(pairs.len(), 1);
+        assert_eq!(pairs[0].0, 1, "track id is the run's position");
+    }
 
     #[test]
     fn writes_both_files() {
-        let (tracer, sink) = Tracer::recording();
-        tracer.span(
-            Time::from_micros(1),
-            Time::from_micros(5),
-            "test",
-            "span",
-        );
-        let buf = sink.borrow_mut().take();
+        let ((), buf) = traced(true, |tracer| {
+            tracer.span(
+                Time::from_micros(1),
+                Time::from_micros(5),
+                "test",
+                "span",
+            )
+        });
+        let buf = buf.expect("recorded");
         let dir = std::env::temp_dir().join("sharebackup-trace-test");
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("out.json");

@@ -155,6 +155,41 @@ pub struct ControllerStats {
     pub control_delays: u64,
 }
 
+/// Field-wise sum: harnesses fold per-trial counters into one cell.
+impl std::ops::AddAssign for ControllerStats {
+    fn add_assign(&mut self, o: ControllerStats) {
+        self.node_failures += o.node_failures;
+        self.link_failures += o.link_failures;
+        self.host_link_failures += o.host_link_failures;
+        self.replacements += o.replacements;
+        self.fallbacks += o.fallbacks;
+        self.diagnoses += o.diagnoses;
+        self.exonerations += o.exonerations;
+        self.convictions += o.convictions;
+        self.circuit_reconfigs += o.circuit_reconfigs;
+        self.escalations += o.escalations;
+        self.recovery_attempts += o.recovery_attempts;
+        self.doa_backups += o.doa_backups;
+        self.reconfig_retries += o.reconfig_retries;
+        self.reconfig_aborts += o.reconfig_aborts;
+        self.pool_exhausted += o.pool_exhausted;
+        self.halted_fallbacks += o.halted_fallbacks;
+        self.spurious_reports += o.spurious_reports;
+        self.false_convictions += o.false_convictions;
+        self.false_exonerations += o.false_exonerations;
+        self.degraded_flows += o.degraded_flows;
+        self.controller_crashes += o.controller_crashes;
+        self.controller_restores += o.controller_restores;
+        self.elections += o.elections;
+        self.control_reports += o.control_reports;
+        self.recoveries_resumed += o.recoveries_resumed;
+        self.control_losses += o.control_losses;
+        self.control_retries += o.control_retries;
+        self.control_exhausted += o.control_exhausted;
+        self.control_delays += o.control_delays;
+    }
+}
+
 impl ControllerStats {
     /// Verify the counter block's internal accounting: every replacement
     /// attempt either replaced the slot's occupant or was recorded as a

@@ -2,11 +2,11 @@
 //! failures") — the machinery that keeps recovery going when the recovery
 //! machinery's own brain dies.
 //!
-//! [`crate::cluster::ControllerCluster`] answers *who is primary*; this
-//! module makes that bookkeeping load-bearing. A [`FailoverPlane`] owns the
-//! cluster and journals every failure report: switches report to **all**
-//! replicas simultaneously (§5.1), so each in-flight recovery is durable
-//! state any replica can pick up. The primary can crash at any phase
+//! The logically centralized controller is a small cluster of replicas. A
+//! [`FailoverPlane`] tracks which replicas are up and which one is primary,
+//! and journals every failure report: switches report to **all** replicas
+//! simultaneously (§5.1), so each in-flight recovery is durable state any
+//! replica can pick up. The primary can crash at any phase
 //! boundary of an in-flight recovery —
 //!
 //! * after the report is processed but before diagnosis
@@ -51,14 +51,35 @@
 //! pre-existing harness digest stays byte-identical.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use sharebackup_sim::{Duration, Engine, SimRng, Time, World};
 use sharebackup_topo::{NodeId, PhysId};
 
 use crate::chaos::ChaosConfig;
-use crate::cluster::{ControllerCluster, ReplicaOutOfRange};
 use crate::controller::{Controller, Recovery};
 use crate::detection::DetectionConfig;
+
+/// Error from naming a controller replica that does not exist.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReplicaOutOfRange {
+    /// The offending replica id.
+    pub id: usize,
+    /// Cluster size (valid ids are `0..replicas`).
+    pub replicas: usize,
+}
+
+impl fmt::Display for ReplicaOutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "replica id {} out of range for a {}-replica cluster",
+            self.id, self.replicas
+        )
+    }
+}
+
+impl std::error::Error for ReplicaOutOfRange {}
 
 /// Tuning knobs of the replicated control plane.
 #[derive(Clone, Copy, Debug)]
@@ -120,7 +141,7 @@ pub enum FailureReport {
 
 impl FailureReport {
     /// Dispatch this report to the matching [`Controller`] handler.
-    fn drive(&self, ctl: &mut Controller, now: Time) -> Recovery {
+    pub fn drive(&self, ctl: &mut Controller, now: Time) -> Recovery {
         match *self {
             FailureReport::Node(p) => ctl.handle_node_failure(p, now),
             FailureReport::Link { faulty, other } => ctl.handle_link_failure(faulty, other, now),
@@ -195,8 +216,9 @@ pub struct PendingRecovery {
     pub interrupted: bool,
 }
 
-/// The replicated control plane: a [`ControllerCluster`] plus the journal
-/// of in-flight recoveries and the fallible control channel.
+/// The replicated control plane: replica membership with a deterministic
+/// primary (the lowest-id live replica), the journal of in-flight
+/// recoveries and the fallible control channel.
 ///
 /// The plane does not own the [`Controller`]; every operation borrows it,
 /// so the scenario layer keeps routing through the controller's network
@@ -208,7 +230,11 @@ pub struct FailoverPlane {
     /// Control-plane chaos rates (only the `controller_crash_rate`,
     /// `control_loss_rate` and `control_delay_rate` knobs are read here).
     pub chaos: ChaosConfig,
-    cluster: ControllerCluster,
+    /// Which replicas are live.
+    up: Vec<bool>,
+    /// The lowest-id live replica when the plane elected last; `None` while
+    /// every replica is down.
+    primary: Option<usize>,
     rng: Option<SimRng>,
     journal: BTreeMap<u64, InFlight>,
     next_id: u64,
@@ -225,12 +251,17 @@ pub struct FailoverPlane {
 impl FailoverPlane {
     /// A plane without a chaos stream: performs **zero** RNG draws; the
     /// only way the primary crashes is [`FailoverPlane::crash_replica`] or
-    /// [`FailoverPlane::force_crash_at`].
+    /// [`FailoverPlane::force_crash_at`]. Replica 0 starts as primary.
+    ///
+    /// # Panics
+    /// Panics if `cfg.replicas == 0`.
     pub fn new(cfg: FailoverConfig) -> FailoverPlane {
+        assert!(cfg.replicas > 0, "need at least one replica");
         FailoverPlane {
             cfg,
             chaos: ChaosConfig::off(),
-            cluster: ControllerCluster::new(cfg.replicas, cfg.election_time),
+            up: vec![true; cfg.replicas],
+            primary: Some(0),
             rng: None,
             journal: BTreeMap::new(),
             next_id: 0,
@@ -252,15 +283,28 @@ impl FailoverPlane {
         }
     }
 
-    /// Cluster membership view.
-    pub fn cluster(&self) -> &ControllerCluster {
-        &self.cluster
+    /// The current primary replica, if any replica is alive.
+    pub fn primary(&self) -> Option<usize> {
+        self.primary
+    }
+
+    /// Live replica count.
+    pub fn live_replicas(&self) -> usize {
+        self.up.iter().filter(|&&u| u).count()
+    }
+
+    /// Whether replica `id` is live.
+    fn is_up(&self, id: usize) -> Result<bool, ReplicaOutOfRange> {
+        self.up.get(id).copied().ok_or(ReplicaOutOfRange {
+            id,
+            replicas: self.up.len(),
+        })
     }
 
     /// Whether the plane can drive recoveries at `now`: some replica is
     /// primary and no election is still running.
     pub fn available(&self, now: Time) -> bool {
-        self.cluster.available() && now >= self.available_at
+        self.primary.is_some() && now >= self.available_at
     }
 
     /// The instant the current blackout (if any) ends. [`Time::ZERO`] if
@@ -350,18 +394,18 @@ impl FailoverPlane {
         id: usize,
         now: Time,
     ) -> Result<(), ReplicaOutOfRange> {
-        if !self.cluster.is_up(id)? {
+        if !self.is_up(id)? {
             return Ok(());
         }
-        let was_primary = self.cluster.primary() == Some(id);
-        self.cluster.fail_replica(id)?;
+        self.up[id] = false;
         ctl.stats.controller_crashes += 1;
         ctl.tracer.instant(now, "failover", "controller-crash");
-        if was_primary {
+        if self.primary == Some(id) {
+            self.primary = self.up.iter().position(|&u| u);
             for e in self.journal.values_mut() {
                 e.interrupted = true;
             }
-            if self.cluster.available() {
+            if self.primary.is_some() {
                 // Followers observe the heartbeat silence (charged at the
                 // conservative closed-form bound), then elect.
                 ctl.stats.elections += 1;
@@ -370,7 +414,7 @@ impl FailoverPlane {
                 ctl.tracer.span(detected, elected, "failover", "election");
                 self.available_at = self.available_at.max(elected);
             }
-            // Headless cluster: poll() is gated on cluster availability
+            // Headless cluster: poll() is gated on a primary existing
             // until a replica is restored.
         }
         self.check_invariants(ctl);
@@ -386,16 +430,17 @@ impl FailoverPlane {
         id: usize,
         now: Time,
     ) -> Result<(), ReplicaOutOfRange> {
-        if self.cluster.is_up(id)? {
+        if self.is_up(id)? {
             return Ok(());
         }
-        let had_primary = self.cluster.available();
-        let delay = self.cluster.restore_replica(id)?;
+        self.up[id] = true;
         ctl.stats.controller_restores += 1;
         ctl.tracer.instant(now, "failover", "controller-restore");
-        if !had_primary && self.cluster.available() {
+        if self.primary.is_none() {
+            // Headless: the restored replica is the only live one.
+            self.primary = Some(id);
             ctl.stats.elections += 1;
-            let elected = now + delay;
+            let elected = now + self.cfg.election_time;
             ctl.tracer.span(now, elected, "failover", "election");
             self.available_at = self.available_at.max(elected);
         }
@@ -426,7 +471,7 @@ impl FailoverPlane {
 
     /// The chaos-rolled crash of whoever is primary right now.
     fn primary_crashed(&mut self, ctl: &mut Controller, now: Time) {
-        if let Some(p) = self.cluster.primary() {
+        if let Some(p) = self.primary {
             // The primary id is in range by construction.
             let _ = self.crash_replica(ctl, p, now);
         }
@@ -754,6 +799,8 @@ mod tests {
         assert!(done[0].recovery.fully_recovered());
         assert_eq!(done[0].completed_at, Time::from_secs(1), "no penalty when inert");
         assert_eq!(plane.pending_count(), 0);
+        assert_eq!(plane.primary(), Some(0), "replica 0 starts as primary");
+        assert_eq!(plane.live_replicas(), 3);
         assert_eq!(ctl.stats.control_reports, 1);
         assert_eq!(ctl.stats.elections, 0);
         assert_eq!(ctl.stats.controller_crashes, 0);
@@ -777,10 +824,18 @@ mod tests {
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].phase, RecoveryPhase::Diagnosed);
         assert!(pending[0].interrupted);
-        assert_eq!(plane.cluster().primary(), Some(1));
+        assert_eq!(plane.primary(), Some(1));
         assert_eq!(ctl.stats.controller_crashes, 1);
         assert_eq!(ctl.stats.elections, 1);
         assert_eq!(ctl.stats.replacements, 0, "no backup assigned yet");
+
+        // A duplicate crash report for the dead former primary is free and
+        // holds no second election.
+        plane.crash_replica(&mut ctl, 0, t0).expect("in range");
+        assert_eq!(ctl.stats.controller_crashes, 1);
+        assert_eq!(ctl.stats.elections, 1, "no second election charged");
+        assert_eq!(plane.primary(), Some(1));
+        assert_eq!(plane.live_replicas(), 2);
 
         // Mid-blackout: the plane refuses to act.
         let blackout = plane.cfg.blackout();
@@ -802,6 +857,13 @@ mod tests {
         );
         assert_eq!(ctl.stats.recoveries_resumed, 1);
         assert_eq!(ctl.stats.replacements, 1, "exactly one backup assigned");
+
+        // The old primary rejoins as a follower: no usurpation, no election,
+        // no new blackout.
+        plane.restore_replica(&mut ctl, 0, t1).expect("in range");
+        assert_eq!(plane.primary(), Some(1), "no usurpation on rejoin");
+        assert_eq!(ctl.stats.elections, 1);
+        assert!(plane.available(t1));
         ctl.stats.assert_consistent();
     }
 
@@ -846,7 +908,8 @@ mod tests {
         plane
             .crash_replica(&mut ctl, 1, t0)
             .expect("replica 1 in range");
-        assert!(!plane.cluster().available());
+        assert_eq!(plane.primary(), None);
+        assert_eq!(plane.live_replicas(), 0);
 
         // A failure during the headless window stays journaled — visible,
         // not silently dropped.
@@ -861,9 +924,14 @@ mod tests {
         // after the election.
         let t2 = Time::from_secs(3);
         plane
-            .restore_replica(&mut ctl, 0, t2)
-            .expect("replica 0 in range");
-        assert!(plane.cluster().available());
+            .restore_replica(&mut ctl, 1, t2)
+            .expect("replica 1 in range");
+        assert_eq!(plane.primary(), Some(1), "restoring into a headless cluster elects");
+        // A duplicate restore is free: no second election.
+        plane
+            .restore_replica(&mut ctl, 1, t2)
+            .expect("replica 1 in range");
+        assert_eq!(ctl.stats.controller_restores, 1);
         let t3 = t2 + plane.cfg.election_time;
         plane.poll(&mut ctl, t3);
         let done = plane.take_completed();
@@ -1017,10 +1085,18 @@ mod tests {
         assert_eq!(ctl.stats.controller_crashes, 1, "duplicate crash uncounted");
         assert_eq!(ctl.stats.elections, 0);
         assert!(plane.available(t0), "follower crash causes no blackout");
-        assert!(matches!(
-            plane.crash_replica(&mut ctl, 99, t0),
-            Err(ReplicaOutOfRange { id: 99, replicas: 3 })
-        ));
+        let err = ReplicaOutOfRange { id: 99, replicas: 3 };
+        assert_eq!(plane.crash_replica(&mut ctl, 99, t0), Err(err));
+        assert_eq!(
+            plane.restore_replica(&mut ctl, 3, t0),
+            Err(ReplicaOutOfRange { id: 3, replicas: 3 })
+        );
+        assert!(err.to_string().contains("out of range"));
+        // Nothing changed.
+        assert_eq!(plane.primary(), Some(0));
+        assert_eq!(plane.live_replicas(), 2);
+        assert_eq!(ctl.stats.controller_crashes, 1);
+        assert_eq!(ctl.stats.controller_restores, 0);
         let report = kill_one(&mut ctl);
         plane.submit(&mut ctl, report, t0);
         assert_eq!(plane.take_completed().len(), 1);

@@ -229,6 +229,44 @@ pub enum SbEvent {
     ControllerRestore(usize),
 }
 
+impl SbEvent {
+    /// Break this failure's ground truth in `sb`. A spurious report leaves
+    /// the (healthy) switch alone; recovery and control events are no-ops.
+    pub fn inject(self, sb: &mut ShareBackup) {
+        match self {
+            SbEvent::NodeFail(p) => sb.set_phys_healthy(p, false),
+            SbEvent::LinkFail { faulty, .. } => sb.set_iface_broken(faulty.0, faulty.1, true),
+            SbEvent::HostLinkFail {
+                host,
+                switch_side: true,
+            } => {
+                // The host's edge slot occupant's down-port h breaks.
+                let net = &sb.slots.net;
+                let edge_node = net.link(net.incident(host)[0]).other(host);
+                let slot = sb
+                    .node_slot(edge_node)
+                    // lint:allow(unwrap) — hosts attach to edge slots by construction
+                    .expect("host connects to an edge slot");
+                let h = net.node(host).index % (sb.k() / 2);
+                sb.set_iface_broken(sb.occupant(slot), h, true);
+            }
+            SbEvent::HostLinkFail { host, .. } => sb.set_host_nic_broken(host, true),
+            _ => {}
+        }
+    }
+
+    /// The failure report this event sends the controller, if it is a
+    /// failure (or a spurious report of one).
+    pub fn report(self) -> Option<FailureReport> {
+        match self {
+            SbEvent::NodeFail(p) | SbEvent::SpuriousReport(p) => Some(FailureReport::Node(p)),
+            SbEvent::LinkFail { faulty, other } => Some(FailureReport::Link { faulty, other }),
+            SbEvent::HostLinkFail { host, .. } => Some(FailureReport::HostLink(host)),
+            _ => None,
+        }
+    }
+}
+
 /// The ShareBackup system under its controller.
 pub struct ShareBackupWorld {
     /// The controller (owns the network).
@@ -365,85 +403,28 @@ impl Environment for ShareBackupWorld {
     fn on_epoch(&mut self, index: usize, now: Time) {
         self.now = now;
         match self.events[index] {
-            SbEvent::NodeFail(p) => {
-                self.controller.sb.set_phys_healthy(p, false);
-                self.pending.push(SbEvent::NodeFail(p));
-            }
-            SbEvent::LinkFail { faulty, other } => {
-                self.controller.sb.set_iface_broken(faulty.0, faulty.1, true);
-                self.pending.push(SbEvent::LinkFail { faulty, other });
-            }
-            SbEvent::HostLinkFail { host, switch_side } => {
-                if switch_side {
-                    // The host's edge slot occupant's down-port h breaks.
-                    let (slot, h) = {
-                        let net = &self.controller.sb.slots.net;
-                        let l = net.incident(host)[0];
-                        let edge_node = net.link(l).other(host);
-                        let slot = self
-                            .controller
-                            .sb
-                            .node_slot(edge_node)
-                            // lint:allow(unwrap) — hosts attach to edge slots by construction
-                            .expect("host connects to an edge slot");
-                        (slot, net.node(host).index % (self.controller.sb.k() / 2))
-                    };
-                    let occ = self.controller.sb.occupant(slot);
-                    self.controller.sb.set_iface_broken(occ, h, true);
-                } else {
-                    self.controller.sb.set_host_nic_broken(host, true);
-                }
-                self.pending.push(SbEvent::HostLinkFail { host, switch_side });
-            }
-            SbEvent::SpuriousReport(p) => {
-                // No ground-truth change: the switch is fine, the report
-                // isn't.
-                self.pending.push(SbEvent::SpuriousReport(p));
+            ev @ (SbEvent::NodeFail(_)
+            | SbEvent::LinkFail { .. }
+            | SbEvent::HostLinkFail { .. }
+            | SbEvent::SpuriousReport(_)) => {
+                ev.inject(&mut self.controller.sb);
+                self.pending.push(ev);
             }
             SbEvent::Recover => {
                 let pending = std::mem::take(&mut self.pending);
-                if self.failover.is_some() {
-                    // Control-plane path: reports enter the journal and
-                    // complete when the (possibly crashed / lossy) plane
-                    // gets them through.
-                    for ev in pending {
-                        let report = match ev {
-                            SbEvent::NodeFail(p) | SbEvent::SpuriousReport(p) => {
-                                FailureReport::Node(p)
-                            }
-                            SbEvent::LinkFail { faulty, other } => {
-                                FailureReport::Link { faulty, other }
-                            }
-                            SbEvent::HostLinkFail { host, .. } => {
-                                FailureReport::HostLink(host)
-                            }
-                            _ => continue,
-                        };
-                        // lint:allow(unwrap) — plane checked `is_some` above
-                        let plane = self.failover.as_mut().expect("plane present");
-                        plane.submit(&mut self.controller, report, now);
-                    }
-                    self.drive_failover(now);
-                } else {
-                    for ev in pending {
-                        let r = match ev {
-                            SbEvent::NodeFail(p) | SbEvent::SpuriousReport(p) => {
-                                self.controller.handle_node_failure(p, now)
-                            }
-                            SbEvent::LinkFail { faulty, other } => {
-                                self.controller.handle_link_failure(faulty, other, now)
-                            }
-                            SbEvent::HostLinkFail { host, .. } => {
-                                self.controller.handle_host_link_failure(host, now)
-                            }
-                            SbEvent::Recover
-                            | SbEvent::PollRepairs
-                            | SbEvent::ControllerCrash(_)
-                            | SbEvent::ControllerRestore(_) => continue,
-                        };
-                        self.recoveries.push(r);
+                for report in pending.into_iter().filter_map(SbEvent::report) {
+                    match self.failover.as_mut() {
+                        // Control-plane path: reports enter the journal and
+                        // complete when the (possibly crashed / lossy) plane
+                        // gets them through.
+                        Some(plane) => plane.submit(&mut self.controller, report, now),
+                        None => {
+                            let r = report.drive(&mut self.controller, now);
+                            self.recoveries.push(r);
+                        }
                     }
                 }
+                self.drive_failover(now);
             }
             SbEvent::PollRepairs => {
                 self.controller.poll_repairs(now);

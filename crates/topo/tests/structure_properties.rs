@@ -89,6 +89,20 @@ proptest! {
         for g in sb.group_ids() {
             prop_assert_eq!(sb.spares(g).len(), n);
         }
+        // §6 "idle backups add bandwidth" gains nothing under this wiring:
+        // every interface of every occupying switch carries a circuit, so
+        // idle backups can only be wired to each other, never to a host.
+        for g in sb.group_ids() {
+            for &p in sb.group_members(g) {
+                if sb.slot_of(p).is_none() {
+                    continue;
+                }
+                for iface in 0..k {
+                    let (cs, port) = sb.iface_attachment(p, iface);
+                    prop_assert!(sb.circuit_switch(cs).mate(port).is_some(), "{p:?} iface {iface} is free");
+                }
+            }
+        }
     }
 
     #[test]
