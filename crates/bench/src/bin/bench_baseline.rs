@@ -154,17 +154,8 @@ fn bench_events(seed: u64) -> minijson::Value {
     let failure = AbstractFailure::Core(1);
     let run_once = || {
         let ft = FatTree::build(setup.ft_config());
-        let fail_ev = failure.to_fattree(&ft);
-        let repair_ev = match fail_ev {
-            sharebackup_core::scenario::TopoEvent::FailNode(n) => {
-                sharebackup_core::scenario::TopoEvent::RepairNode(n)
-            }
-            sharebackup_core::scenario::TopoEvent::FailLink(l) => {
-                sharebackup_core::scenario::TopoEvent::RepairLink(l)
-            }
-            _ => unreachable!("failures only"),
-        };
-        let mut world = FatTreeWorld::new(ft, RecoveryMode::GlobalOptimal, vec![fail_ev, repair_ev]);
+        let ev = failure.to_fattree(&ft);
+        let mut world = FatTreeWorld::new(ft, RecoveryMode::GlobalOptimal, vec![ev, ev.repair()]);
         let epochs = [setup.fail_at, setup.fail_at + setup.outage];
         FlowSim::new().run(&mut world, &trace.specs, &epochs)
     };

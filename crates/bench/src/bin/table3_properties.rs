@@ -11,16 +11,21 @@
 //! to the failure position. The Aspen Tree row is analytical (the paper's
 //! own characterization) since Aspen adds hardware we do not rebuild.
 
+use sharebackup_bench::fig1::AbstractFailure;
 use sharebackup_bench::Args;
-use sharebackup_core::scenario::SbEvent;
+use sharebackup_core::scenario::TopoEvent;
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::properties::{total_usable_capacity, upstream_repair};
-use sharebackup_routing::{ecmp_path, ecmp::ecmp_path_f10, F10Router, FlowKey, GlobalReroute};
+use sharebackup_routing::{ecmp_path, F10Router, FlowKey, GlobalReroute};
 use sharebackup_sim::Time;
 use sharebackup_topo::{
-    F10Topology, FatTree, FatTreeConfig, GroupId, HostAddr, NodeId, ShareBackup,
-    ShareBackupConfig,
+    F10Topology, FatTree, FatTreeConfig, HostAddr, NodeId, ShareBackup, ShareBackupConfig,
 };
+
+/// The failure every architecture handles: agg(0,0)'s first core uplink.
+/// In F10 this is core 0's link *into* pod 0, a downward failure that
+/// takes the detour.
+const FAILURE: AbstractFailure = AbstractFailure::LinkAggUp { pod: 0, a: 0, m: 0 };
 
 /// Index in `path` of the node adjacent (source side) to the failed link
 /// `(x, y)`; the divergence point of a *local* repair.
@@ -37,7 +42,7 @@ struct Measured {
 }
 
 /// Candidate cross-pod flow keys (many ids so ECMP covers every core).
-fn candidate_keys(k: usize, host: impl Fn(HostAddr) -> sharebackup_topo::NodeId) -> Vec<FlowKey> {
+fn candidate_keys(k: usize, host: impl Fn(HostAddr) -> NodeId) -> Vec<FlowKey> {
     let mut keys = Vec::new();
     let mut id = 0u64;
     for s in 0..k {
@@ -45,8 +50,7 @@ fn candidate_keys(k: usize, host: impl Fn(HostAddr) -> sharebackup_topo::NodeId)
             if s == d {
                 continue;
             }
-            for rep in 0..8 {
-                let _ = rep;
+            for _ in 0..8 {
                 keys.push(FlowKey::new(
                     host(HostAddr { pod: s, edge: 0, host: 0 }),
                     host(HostAddr { pod: d, edge: 1, host: 1 }),
@@ -59,14 +63,19 @@ fn candidate_keys(k: usize, host: impl Fn(HostAddr) -> sharebackup_topo::NodeId)
     keys
 }
 
-fn measure_fattree(k: usize) -> Measured {
-    let mut ft = FatTree::build(FatTreeConfig::new(k));
+/// A rerouting architecture: flows start on their ECMP paths through `ft`
+/// (either striping), and `reroute` moves the ones [`FAILURE`] breaks.
+fn measure_rerouting(
+    ft: &mut FatTree,
+    reroute: fn(&FatTree, &FlowKey) -> Option<Vec<NodeId>>,
+) -> Measured {
     let before_cap = total_usable_capacity(&ft.net);
-    let keys = candidate_keys(k, |a| ft.host(a));
-    let before: Vec<Vec<_>> = keys.iter().map(|f| ecmp_path(&ft, f)).collect();
-    // Fail agg(0,0) -> core(0).
-    let (fx, fy) = (ft.agg(0, 0), ft.core(0));
-    let l = ft.net.link_between(fx, fy).expect("agg-core link");
+    let keys = candidate_keys(ft.k(), |a| ft.host(a));
+    let before: Vec<Vec<_>> = keys.iter().map(|f| ecmp_path(ft, f)).collect();
+    let TopoEvent::FailLink(l) = FAILURE.to_fattree(ft) else {
+        unreachable!("FAILURE is a link position")
+    };
+    let (fx, fy) = (ft.net.link(l).a, ft.net.link(l).b);
     ft.net.set_link_up(l, false);
     let after_cap = total_usable_capacity(&ft.net);
     let mut max_dilation = 0usize;
@@ -77,41 +86,7 @@ fn measure_fattree(k: usize) -> Measured {
             continue; // unaffected flow
         }
         examined += 1;
-        let a = GlobalReroute::route(&ft, f).expect("core-link failure is recoverable");
-        max_dilation = max_dilation.max(a.len().saturating_sub(b.len()));
-        let failed_at = failure_position(b, fx, fy).expect("affected flow crosses the link");
-        if upstream_repair(b, &a, failed_at) {
-            upstream += 1;
-        }
-    }
-    Measured {
-        bandwidth_loss_pct: 100.0 * (before_cap - after_cap) / before_cap,
-        max_dilation_hops: max_dilation,
-        upstream_repairs: upstream,
-        flows_examined: examined,
-    }
-}
-
-fn measure_f10(k: usize) -> Measured {
-    let mut f10 = F10Topology::build(FatTreeConfig::new(k));
-    let before_cap = total_usable_capacity(&f10.net);
-    let keys = candidate_keys(k, |a| f10.host(a));
-    let before: Vec<Vec<_>> = keys.iter().map(|f| ecmp_path_f10(&f10, f)).collect();
-    // Fail core(0)'s link *into* pod 0 (a downward failure → detour).
-    let a0 = f10.agg_for_core(0, 0);
-    let (fx, fy) = (f10.core(0), f10.agg(0, a0));
-    let l = f10.net.link_between(fx, fy).expect("core-agg link");
-    f10.net.set_link_up(l, false);
-    let after_cap = total_usable_capacity(&f10.net);
-    let mut max_dilation = 0usize;
-    let mut upstream = 0usize;
-    let mut examined = 0usize;
-    for (f, b) in keys.iter().zip(&before) {
-        if f10.net.path_usable(b) {
-            continue;
-        }
-        examined += 1;
-        let a = F10Router::route(&f10, f).expect("detour exists");
+        let a = reroute(ft, f).expect("a core-link failure is recoverable");
         max_dilation = max_dilation.max(a.len().saturating_sub(b.len()));
         let failed_at = failure_position(b, fx, fy).expect("affected flow crosses the link");
         if upstream_repair(b, &a, failed_at) {
@@ -136,15 +111,10 @@ fn measure_sharebackup(k: usize) -> Measured {
     };
     let before: Vec<Vec<_>> = keys.iter().map(|f| ecmp_path(&ctl.sb.slots, f)).collect();
     // Same structural failure: agg(0,0)'s uplink 0 interface breaks.
-    let agg = ctl.sb.occupant(GroupId::agg(0).slot(0));
-    let core = ctl.sb.occupant(GroupId::core(0).slot(0));
-    ctl.sb.set_iface_broken(agg, k / 2, true);
-    let ev = SbEvent::LinkFail {
-        faulty: (agg, k / 2),
-        other: (core, 0),
-    };
-    let _ = ev; // controller call below is the recovery path
-    let recovery = ctl.handle_link_failure((agg, k / 2), (core, 0), Time::ZERO);
+    let ev = FAILURE.to_sharebackup(&ctl.sb);
+    ev.inject(&mut ctl.sb);
+    let report = ev.report().expect("a link failure is reported");
+    let recovery = report.drive(&mut ctl, Time::ZERO);
     assert!(recovery.fully_recovered(), "k/2 spares suffice");
     let after_cap = total_usable_capacity(&ctl.sb.slots.net);
     let mut max_dilation = 0usize;
@@ -175,10 +145,11 @@ fn main() {
     let args = Args::parse(defaults);
     let k = args.k;
 
+    let cfg = FatTreeConfig::new(k);
     let rows = [
         ("ShareBackup", measure_sharebackup(k)),
-        ("Fat-tree", measure_fattree(k)),
-        ("F10", measure_f10(k)),
+        ("Fat-tree", measure_rerouting(&mut FatTree::build(cfg), GlobalReroute::route)),
+        ("F10", measure_rerouting(&mut F10Topology::build(cfg), F10Router::route)),
     ];
 
     if args.json {

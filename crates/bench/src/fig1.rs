@@ -9,18 +9,16 @@
 //! * ShareBackup under its recovery controller.
 
 use sharebackup_core::scenario::{
-    sharebackup_timeline, F10World, FatTreeWorld, RecoveryMode, SbEvent, ShareBackupWorld,
-    TopoEvent,
+    sb_event, sharebackup_timeline, F10World, FatTreeWorld, RecoveryMode, Rerouter,
+    RerouteWorld, SbEvent, ShareBackupWorld, TopoEvent,
 };
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::{impact, Coflow, FlowSim, SimOutcome};
 use sharebackup_routing::ecmp_path;
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_telemetry::{TraceBuffer, Tracer};
-use sharebackup_topo::{
-    F10Topology, FatTree, FatTreeConfig, GroupId, HostAddr, ShareBackup, ShareBackupConfig,
-};
-use sharebackup_workload::{CoflowTrace, TraceConfig};
+use sharebackup_topo::{F10Topology, FatTree, FatTreeConfig, HostAddr, ShareBackup, ShareBackupConfig};
+use sharebackup_workload::{CoflowTrace, FailureInjector, FailureKind, TraceConfig};
 
 use crate::racks::RackMap;
 use crate::traced;
@@ -179,118 +177,48 @@ impl AbstractFailure {
         }
     }
 
-    /// The fat-tree topology event for this failure.
-    pub fn to_fattree(&self, ft: &FatTree) -> TopoEvent {
+    /// The node or link at this position of `ft` (either striping: uplink
+    /// `m` resolves through the tree's own striping).
+    fn position(&self, ft: &FatTree) -> FailureKind {
         let half = ft.k() / 2;
+        let link = |a, b| FailureKind::Link(ft.net.link_between(a, b).expect("fat-tree link"));
         match *self {
-            AbstractFailure::Edge(p, j) => TopoEvent::FailNode(ft.edge(p, j)),
-            AbstractFailure::Agg(p, j) => TopoEvent::FailNode(ft.agg(p, j)),
-            AbstractFailure::Core(c) => TopoEvent::FailNode(ft.core(c)),
+            AbstractFailure::Edge(p, j) => FailureKind::Node(ft.edge(p, j)),
+            AbstractFailure::Agg(p, j) => FailureKind::Node(ft.agg(p, j)),
+            AbstractFailure::Core(c) => FailureKind::Node(ft.core(c)),
             AbstractFailure::LinkEdgeUp { pod, e, m } => {
-                let a = (e + m) % half; // same position ShareBackup wires via CS2[m]
-                let l = ft
-                    .net
-                    .link_between(ft.edge(pod, e), ft.agg(pod, a))
-                    .expect("edge-agg link");
-                TopoEvent::FailLink(l)
+                // The same position ShareBackup wires via CS2[m].
+                link(ft.edge(pod, e), ft.agg(pod, (e + m) % half))
             }
             AbstractFailure::LinkAggUp { pod, a, m } => {
-                let l = ft
-                    .net
-                    .link_between(ft.agg(pod, a), ft.core(a * half + m))
-                    .expect("agg-core link");
-                TopoEvent::FailLink(l)
+                link(ft.agg(pod, a), ft.core(ft.core_of(pod, a, m)))
             }
             AbstractFailure::LinkHost { pod, e, h } => {
-                let host = ft.host(HostAddr { pod, edge: e, host: h });
-                let l = ft
-                    .net
-                    .link_between(host, ft.edge(pod, e))
-                    .expect("host link");
-                TopoEvent::FailLink(l)
+                link(ft.host(HostAddr { pod, edge: e, host: h }), ft.edge(pod, e))
             }
+        }
+    }
+
+    /// The fat-tree topology event for this failure.
+    pub fn to_fattree(&self, ft: &FatTree) -> TopoEvent {
+        match self.position(ft) {
+            FailureKind::Node(n) => TopoEvent::FailNode(n),
+            FailureKind::Link(l) => TopoEvent::FailLink(l),
         }
     }
 
     /// The F10 topology event for this failure (same structural position;
     /// F10's core wiring differs, so uplink `m` resolves per its striping).
     pub fn to_f10(&self, f10: &F10Topology) -> TopoEvent {
-        let half = f10.k() / 2;
-        match *self {
-            AbstractFailure::Edge(p, j) => TopoEvent::FailNode(f10.edge(p, j)),
-            AbstractFailure::Agg(p, j) => TopoEvent::FailNode(f10.agg(p, j)),
-            AbstractFailure::Core(c) => TopoEvent::FailNode(f10.core(c)),
-            AbstractFailure::LinkEdgeUp { pod, e, m } => {
-                let a = (e + m) % half;
-                let l = f10
-                    .net
-                    .link_between(f10.edge(pod, e), f10.agg(pod, a))
-                    .expect("edge-agg link");
-                TopoEvent::FailLink(l)
-            }
-            AbstractFailure::LinkAggUp { pod, a, m } => {
-                let c = f10.cores_of_agg(pod, a)[m];
-                let l = f10
-                    .net
-                    .link_between(f10.agg(pod, a), f10.core(c))
-                    .expect("agg-core link");
-                TopoEvent::FailLink(l)
-            }
-            AbstractFailure::LinkHost { pod, e, h } => {
-                let host = f10.host(HostAddr { pod, edge: e, host: h });
-                let l = f10
-                    .net
-                    .link_between(host, f10.edge(pod, e))
-                    .expect("host link");
-                TopoEvent::FailLink(l)
-            }
-        }
+        self.to_fattree(f10)
     }
 
-    /// The ShareBackup injection for this failure (against the physical
-    /// occupant of the slot).
+    /// The ShareBackup injection for this failure: its position in the slot
+    /// tree, against the slot's physical occupant. A link's upper-layer
+    /// (or host-facing) switch interface is the faulty one; the far end is
+    /// the innocent one diagnosis exonerates.
     pub fn to_sharebackup(&self, sb: &ShareBackup) -> SbEvent {
-        let half = sb.k() / 2;
-        match *self {
-            AbstractFailure::Edge(p, j) => {
-                SbEvent::NodeFail(sb.occupant(GroupId::edge(p).slot(j)))
-            }
-            AbstractFailure::Agg(p, j) => SbEvent::NodeFail(sb.occupant(GroupId::agg(p).slot(j))),
-            AbstractFailure::Core(c) => {
-                let u = c % half;
-                let j = c / half;
-                SbEvent::NodeFail(sb.occupant(GroupId::core(u).slot(j)))
-            }
-            AbstractFailure::LinkEdgeUp { pod, e, m } => {
-                let edge = sb.occupant(GroupId::edge(pod).slot(e));
-                let a = (e + m) % half;
-                let agg = sb.occupant(GroupId::agg(pod).slot(a));
-                // The edge-side interface is the faulty one; the agg side is
-                // the innocent far end that diagnosis exonerates.
-                SbEvent::LinkFail {
-                    faulty: (edge, half + m),
-                    other: (agg, m),
-                }
-            }
-            AbstractFailure::LinkAggUp { pod, a, m } => {
-                let agg = sb.occupant(GroupId::agg(pod).slot(a));
-                let core = sb.occupant(GroupId::core(m).slot(a));
-                SbEvent::LinkFail {
-                    faulty: (agg, half + m),
-                    other: (core, pod),
-                }
-            }
-            AbstractFailure::LinkHost { pod, e, h } => {
-                // The switch-side interface is at fault (the same physical
-                // fault the baselines see as a downed host link); the
-                // controller's host-link procedure replaces the switch
-                // (§4.2), which fixes it in milliseconds.
-                SbEvent::HostLinkFail {
-                    host: sb.slots.host(HostAddr { pod, edge: e, host: h }),
-                    switch_side: true,
-                }
-            }
-        }
+        sb_event(sb, &sb.slots.net, self.position(&sb.slots)).expect("switch positions are slots")
     }
 
     /// Whether this failure severs hosts permanently under *any* scheme
@@ -321,62 +249,33 @@ fn ccts(trace: &CoflowTrace, out: &SimOutcome) -> CctRun {
     }
 }
 
-/// Run the baseline (no failure) on a fat-tree.
-pub fn run_fattree_baseline(setup: &Fig1Setup, trace: &CoflowTrace) -> CctRun {
-    let ft = FatTree::build(setup.ft_config());
-    let mut world = FatTreeWorld::new(ft, RecoveryMode::GlobalOptimal, vec![]);
-    let out = FlowSim::new().run(&mut world, &trace.specs, &[]);
-    ccts(trace, &out)
-}
-
-/// Run a fat-tree trial with one failure, global optimal rerouting.
-pub fn run_fattree_failure(
+/// Run `trace` through a rerouting world (fat-tree or F10): as built for
+/// the no-failure baseline (`failure` = `None`), else with `failure` struck
+/// at `fail_at` and repaired after `outage`.
+pub fn run_rerouting<R: Rerouter>(
     setup: &Fig1Setup,
     trace: &CoflowTrace,
-    failure: AbstractFailure,
+    mut world: RerouteWorld<R>,
+    failure: Option<AbstractFailure>,
 ) -> CctRun {
-    let ft = FatTree::build(setup.ft_config());
-    let fail_ev = failure.to_fattree(&ft);
-    let repair_ev = match fail_ev {
-        TopoEvent::FailNode(n) => TopoEvent::RepairNode(n),
-        TopoEvent::FailLink(l) => TopoEvent::RepairLink(l),
-        _ => unreachable!("failures only"),
-    };
-    let mut world = FatTreeWorld::new(
-        ft,
-        RecoveryMode::GlobalOptimal,
-        vec![fail_ev, repair_ev],
-    );
-    let epochs = [setup.fail_at, setup.fail_at + setup.outage];
+    let mut epochs = Vec::new();
+    if let Some(failure) = failure {
+        let ev = failure.to_fattree(&world.ft);
+        world.events = vec![ev, ev.repair()];
+        epochs = vec![setup.fail_at, setup.fail_at + setup.outage];
+    }
     let out = FlowSim::new().run(&mut world, &trace.specs, &epochs);
     ccts(trace, &out)
 }
 
-/// Run the baseline (no failure) on F10.
-pub fn run_f10_baseline(setup: &Fig1Setup, trace: &CoflowTrace) -> CctRun {
-    let f10 = F10Topology::build(setup.ft_config());
-    let mut world = F10World::new(f10, vec![]);
-    let out = FlowSim::new().run(&mut world, &trace.specs, &[]);
-    ccts(trace, &out)
+/// A fat-tree world with global optimal rerouting.
+fn fattree_world(setup: &Fig1Setup) -> FatTreeWorld {
+    FatTreeWorld::new(FatTree::build(setup.ft_config()), RecoveryMode::GlobalOptimal, vec![])
 }
 
-/// Run an F10 trial with one failure, local rerouting.
-pub fn run_f10_failure(
-    setup: &Fig1Setup,
-    trace: &CoflowTrace,
-    failure: AbstractFailure,
-) -> CctRun {
-    let f10 = F10Topology::build(setup.ft_config());
-    let fail_ev = failure.to_f10(&f10);
-    let repair_ev = match fail_ev {
-        TopoEvent::FailNode(n) => TopoEvent::RepairNode(n),
-        TopoEvent::FailLink(l) => TopoEvent::RepairLink(l),
-        _ => unreachable!("failures only"),
-    };
-    let mut world = F10World::new(f10, vec![fail_ev, repair_ev]);
-    let epochs = [setup.fail_at, setup.fail_at + setup.outage];
-    let out = FlowSim::new().run(&mut world, &trace.specs, &epochs);
-    ccts(trace, &out)
+/// An F10 world with local rerouting.
+fn f10_world(setup: &Fig1Setup) -> F10World {
+    F10World::new(F10Topology::build(setup.ft_config()), vec![])
 }
 
 /// Run a ShareBackup trial with one failure under the controller.
@@ -468,10 +367,10 @@ pub fn run_fig1c_trial_traced(
     tracing: bool,
 ) -> Fig1cTrial {
     let trace = setup.trace(ft, trial);
-    let base_ft = run_fattree_baseline(setup, &trace);
-    let fail_ft = run_fattree_failure(setup, &trace, failure);
-    let base_f10 = run_f10_baseline(setup, &trace);
-    let fail_f10 = run_f10_failure(setup, &trace, failure);
+    let base_ft = run_rerouting(setup, &trace, fattree_world(setup), None);
+    let fail_ft = run_rerouting(setup, &trace, fattree_world(setup), Some(failure));
+    let base_f10 = run_rerouting(setup, &trace, f10_world(setup), None);
+    let fail_f10 = run_rerouting(setup, &trace, f10_world(setup), Some(failure));
     let ((fail_sb, _world), trace_buf) = traced(tracing, |tracer| {
         run_sharebackup_failure_traced(setup, &trace, failure, tracer)
     });
@@ -515,11 +414,7 @@ pub fn impact_sweep(
                     } else {
                         AbstractFailure::sample_link(&mut rng, setup.k)
                     };
-                    match f.to_fattree(&ft) {
-                        TopoEvent::FailNode(n) => net.set_node_up(n, false),
-                        TopoEvent::FailLink(l) => net.set_link_up(l, false),
-                        _ => unreachable!(),
-                    }
+                    FailureInjector::apply(&mut net, f.position(&ft));
                 }
                 let report = impact::impact(&net, &paths, &trace.coflows);
                 (report.flow_fraction(), report.coflow_fraction())
@@ -598,8 +493,8 @@ mod tests {
         assert!(trace.coflow_count() > 0);
         // Pick a core failure (never strands hosts).
         let failure = AbstractFailure::Core(1);
-        let base_ft = run_fattree_baseline(&setup, &trace);
-        let fail_ft = run_fattree_failure(&setup, &trace, failure);
+        let base_ft = run_rerouting(&setup, &trace, fattree_world(&setup), None);
+        let fail_ft = run_rerouting(&setup, &trace, fattree_world(&setup), Some(failure));
         let (fail_sb, world) = run_sharebackup_failure(&setup, &trace, failure);
         assert_eq!(world.controller.stats.replacements, 1);
         let (sd_ft, stranded_ft) = slowdowns(&base_ft, &fail_ft);

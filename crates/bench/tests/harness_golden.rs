@@ -1,8 +1,11 @@
-//! Golden outputs of the campaign harnesses: `chaos_availability` and
-//! `controller_failover` must print exactly the committed bytes in
-//! `--mode digest --trials 2` and `--mode demo`, with and without `--json`,
-//! at the default k=4. The CI jobs-invariance diffs cannot catch a change
-//! that moves the output at every `--jobs` value; this test does.
+//! Golden outputs of the harnesses. The campaign harnesses
+//! (`chaos_availability`, `controller_failover`) must print exactly the
+//! committed bytes in `--mode digest --trials 2` and `--mode demo`, with and
+//! without `--json`, at the default k=4. The harnesses that run all three
+//! systems, F10 included (`fig1c_cct`, `table3_properties`, `fig1_affected`),
+//! must print their committed tables, and `fig1c_cct` its trace digest. The
+//! CI jobs-invariance diffs cannot catch a change that moves the output at
+//! every `--jobs` value; this test does.
 
 use std::process::{Command, Output};
 
@@ -11,6 +14,14 @@ fn run(bin: &str, args: &[&str]) -> Output {
         .args(args)
         .output()
         .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"))
+}
+
+/// Run `bin` with `args` and compare its stdout with `golden`.
+fn check_stdout(bin: &str, args: &[&str], golden: &str) {
+    let out = run(bin, args);
+    assert!(out.status.success(), "{bin} {args:?} failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    assert_eq!(stdout, golden, "{bin} {args:?} drifted from its golden");
 }
 
 /// Run every golden surface of `bin` and compare stdout byte for byte.
@@ -24,10 +35,7 @@ fn check(bin: &str, golden: impl Fn(&str) -> &'static str) {
         ("demo-json", &["--mode", "demo", "--json"]),
     ];
     for (name, args) in surfaces {
-        let out = run(bin, args);
-        assert!(out.status.success(), "{bin} {args:?} failed: {out:?}");
-        let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
-        assert_eq!(stdout, golden(name), "{bin} {args:?} drifted from golden/{name}");
+        check_stdout(bin, args, golden(name));
     }
 }
 
@@ -47,6 +55,35 @@ fn controller_failover_matches_golden() {
         "demo" => include_str!("golden/controller_failover.demo.txt"),
         _ => include_str!("golden/controller_failover.demo-json.txt"),
     });
+}
+
+#[test]
+fn fig1c_cct_matches_golden() {
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fig1c_cct.k4.json");
+    let trace = trace.to_str().expect("utf-8 path");
+    check_stdout(
+        env!("CARGO_BIN_EXE_fig1c_cct"),
+        &["--k", "4", "--trials", "2", "--trace-out", trace],
+        include_str!("golden/fig1c_cct.k4.txt"),
+    );
+    let digest = std::fs::read_to_string(format!("{trace}.digest")).expect("trace digest");
+    assert_eq!(digest, include_str!("golden/fig1c_cct.k4.trace.digest"));
+}
+
+#[test]
+fn table3_properties_matches_golden() {
+    let bin = env!("CARGO_BIN_EXE_table3_properties");
+    check_stdout(bin, &[], include_str!("golden/table3_properties.txt"));
+    check_stdout(bin, &["--k", "4"], include_str!("golden/table3_properties.k4.txt"));
+}
+
+#[test]
+fn fig1_affected_matches_golden() {
+    check_stdout(
+        env!("CARGO_BIN_EXE_fig1_affected"),
+        &["--k", "4", "--trials", "2"],
+        include_str!("golden/fig1_affected.k4.txt"),
+    );
 }
 
 #[test]

@@ -47,7 +47,7 @@ pub use diagnosis::{diagnose, DiagnosisReport, Verdict};
 pub use latency::{RecoveryLatencyModel, RecoveryScheme};
 pub use maintenance::{RollingUpgrade, UpgradeStep};
 pub use scenario::{
-    link_sb_event, map_chaos_schedule, F10World, FatTreeWorld, RecoveryMode, ShareBackupWorld,
+    map_chaos_schedule, sb_event, F10World, FatTreeWorld, RecoveryMode, ShareBackupWorld,
 };
 pub use timeline::{
     simulate_recovery, simulate_recovery_traced, simulate_recovery_with_blackout, Timeline,

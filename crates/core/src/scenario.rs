@@ -5,6 +5,9 @@
 //! * [`FatTreeWorld`] — plain fat-tree; on failure, global rerouting
 //!   (hash-based or load-aware "optimal") over the surviving paths.
 //! * [`F10World`] — the AB fat-tree with F10's local rerouting.
+//!
+//!   Both are a [`RerouteWorld`]: the same failure bookkeeping over a
+//!   [`FatTree`], differing only in the [`Rerouter`].
 //! * [`ShareBackupWorld`] — the slot fat-tree under the recovery
 //!   [`Controller`]: failures briefly down a slot, the controller swaps in
 //!   a backup after the modeled detection+recovery latency, and flows
@@ -16,12 +19,11 @@
 
 use sharebackup_flowsim::Environment;
 use sharebackup_routing::{
-    ecmp::ecmp_path_f10, ecmp_path, DegradedMode, DegradedTracker, F10Router, FlowKey,
-    GlobalReroute,
+    ecmp_path, DegradedMode, DegradedTracker, F10Router, FlowKey, GlobalReroute,
 };
 use sharebackup_sim::{Duration, Time};
 use sharebackup_topo::{
-    F10Topology, FatTree, GroupId, LinkId, Network, NodeId, NodeKind, PhysId, ShareBackup,
+    F10Topology, FatTree, GroupKind, LinkId, Network, NodeId, PhysId, ShareBackup,
 };
 use sharebackup_workload::{FailureEvent, FailureKind};
 
@@ -53,51 +55,100 @@ pub enum TopoEvent {
     RepairLink(LinkId),
 }
 
-/// Plain fat-tree with rerouting-based recovery.
-pub struct FatTreeWorld {
+impl TopoEvent {
+    /// The repair that undoes this failure.
+    ///
+    /// # Panics
+    /// Panics if `self` is already a repair.
+    pub fn repair(self) -> TopoEvent {
+        match self {
+            TopoEvent::FailNode(n) => TopoEvent::RepairNode(n),
+            TopoEvent::FailLink(l) => TopoEvent::RepairLink(l),
+            repair => panic!("{repair:?} is not a failure"),
+        }
+    }
+}
+
+/// How a [`RerouteWorld`] routes while something is failed. While nothing
+/// is, every flow takes its static ECMP path.
+pub trait Rerouter {
+    /// Route `flow` over the damaged tree; `None` = unroutable for now.
+    fn reroute(&self, ft: &FatTree, flow: &FlowKey) -> Option<Vec<NodeId>>;
+
+    /// Route every live flow at an epoch. Default: one at a time.
+    fn reroute_all(&self, ft: &FatTree, flows: &[FlowKey]) -> Vec<Option<Vec<NodeId>>> {
+        flows.iter().map(|f| self.reroute(ft, f)).collect()
+    }
+}
+
+impl Rerouter for RecoveryMode {
+    fn reroute(&self, ft: &FatTree, flow: &FlowKey) -> Option<Vec<NodeId>> {
+        match self {
+            RecoveryMode::None => {
+                let p = ecmp_path(ft, flow);
+                ft.net.path_usable(&p).then_some(p)
+            }
+            RecoveryMode::GlobalHash | RecoveryMode::GlobalOptimal => GlobalReroute::route(ft, flow),
+        }
+    }
+
+    fn reroute_all(&self, ft: &FatTree, flows: &[FlowKey]) -> Vec<Option<Vec<NodeId>>> {
+        match self {
+            RecoveryMode::GlobalOptimal => GlobalReroute::route_all(ft, flows),
+            _ => flows.iter().map(|f| self.reroute(ft, f)).collect(),
+        }
+    }
+}
+
+impl Rerouter for F10Router {
+    fn reroute(&self, ft: &FatTree, flow: &FlowKey) -> Option<Vec<NodeId>> {
+        F10Router::route(ft, flow)
+    }
+}
+
+/// A fat-tree of either striping whose epoch [`TopoEvent`]s fail and
+/// repair it, recovering by rerouting with `R`.
+pub struct RerouteWorld<R> {
     /// The topology (failure state lives in `ft.net`).
     pub ft: FatTree,
-    /// Recovery policy.
-    pub mode: RecoveryMode,
+    /// How flows are routed while something is failed.
+    pub router: R,
     /// Event applied at epoch `i`.
     pub events: Vec<TopoEvent>,
     failures_active: usize,
 }
 
+/// Plain fat-tree with rerouting-based recovery.
+pub type FatTreeWorld = RerouteWorld<RecoveryMode>;
+
+/// F10 AB fat-tree with local rerouting.
+pub type F10World = RerouteWorld<F10Router>;
+
 impl FatTreeWorld {
     /// A world over `ft` with the given recovery mode and epoch events.
     pub fn new(ft: FatTree, mode: RecoveryMode, events: Vec<TopoEvent>) -> FatTreeWorld {
-        FatTreeWorld {
+        RerouteWorld {
             ft,
-            mode,
+            router: mode,
             events,
             failures_active: 0,
         }
     }
+}
 
-    fn apply(&mut self, ev: TopoEvent) {
-        match ev {
-            TopoEvent::FailNode(n) => {
-                self.ft.net.set_node_up(n, false);
-                self.failures_active += 1;
-            }
-            TopoEvent::FailLink(l) => {
-                self.ft.net.set_link_up(l, false);
-                self.failures_active += 1;
-            }
-            TopoEvent::RepairNode(n) => {
-                self.ft.net.set_node_up(n, true);
-                self.failures_active = self.failures_active.saturating_sub(1);
-            }
-            TopoEvent::RepairLink(l) => {
-                self.ft.net.set_link_up(l, true);
-                self.failures_active = self.failures_active.saturating_sub(1);
-            }
+impl F10World {
+    /// A world over `f10` with the given epoch events.
+    pub fn new(f10: F10Topology, events: Vec<TopoEvent>) -> F10World {
+        RerouteWorld {
+            ft: f10.into(),
+            router: F10Router,
+            events,
+            failures_active: 0,
         }
     }
 }
 
-impl Environment for FatTreeWorld {
+impl<R: Rerouter> Environment for RerouteWorld<R> {
     fn capacity(&self, l: LinkId) -> f64 {
         self.ft.net.link(l).capacity_bps
     }
@@ -108,80 +159,27 @@ impl Environment for FatTreeWorld {
         if self.failures_active == 0 {
             return Some(ecmp_path(&self.ft, flow));
         }
-        match self.mode {
-            RecoveryMode::None => {
-                let p = ecmp_path(&self.ft, flow);
-                self.ft.net.path_usable(&p).then_some(p)
-            }
-            RecoveryMode::GlobalHash | RecoveryMode::GlobalOptimal => {
-                GlobalReroute::route(&self.ft, flow)
-            }
-        }
+        self.router.reroute(&self.ft, flow)
     }
     fn route_all(&mut self, flows: &[FlowKey]) -> Vec<Option<Vec<NodeId>>> {
-        if self.failures_active > 0 && self.mode == RecoveryMode::GlobalOptimal {
-            GlobalReroute::route_all(&self.ft, flows)
-        } else {
-            flows.iter().map(|f| self.route(f)).collect()
-        }
-    }
-    fn on_epoch(&mut self, index: usize, _now: Time) {
-        let ev = self.events[index];
-        self.apply(ev);
-    }
-}
-
-/// F10 AB fat-tree with local rerouting.
-pub struct F10World {
-    /// The topology (failure state lives in `f10.net`).
-    pub f10: F10Topology,
-    /// Event applied at epoch `i`.
-    pub events: Vec<TopoEvent>,
-    failures_active: usize,
-}
-
-impl F10World {
-    /// A world over `f10` with the given epoch events.
-    pub fn new(f10: F10Topology, events: Vec<TopoEvent>) -> F10World {
-        F10World {
-            f10,
-            events,
-            failures_active: 0,
-        }
-    }
-}
-
-impl Environment for F10World {
-    fn capacity(&self, l: LinkId) -> f64 {
-        self.f10.net.link(l).capacity_bps
-    }
-    fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.f10.net.link_between(a, b)
-    }
-    fn route(&mut self, flow: &FlowKey) -> Option<Vec<NodeId>> {
         if self.failures_active == 0 {
-            return Some(ecmp_path_f10(&self.f10, flow));
+            flows.iter().map(|f| self.route(f)).collect()
+        } else {
+            self.router.reroute_all(&self.ft, flows)
         }
-        F10Router::route(&self.f10, flow)
     }
     fn on_epoch(&mut self, index: usize, _now: Time) {
+        let net = &mut self.ft.net;
         match self.events[index] {
-            TopoEvent::FailNode(n) => {
-                self.f10.net.set_node_up(n, false);
-                self.failures_active += 1;
-            }
-            TopoEvent::FailLink(l) => {
-                self.f10.net.set_link_up(l, false);
-                self.failures_active += 1;
-            }
-            TopoEvent::RepairNode(n) => {
-                self.f10.net.set_node_up(n, true);
-                self.failures_active = self.failures_active.saturating_sub(1);
-            }
-            TopoEvent::RepairLink(l) => {
-                self.f10.net.set_link_up(l, true);
-                self.failures_active = self.failures_active.saturating_sub(1);
-            }
+            TopoEvent::FailNode(n) => net.set_node_up(n, false),
+            TopoEvent::FailLink(l) => net.set_link_up(l, false),
+            TopoEvent::RepairNode(n) => net.set_node_up(n, true),
+            TopoEvent::RepairLink(l) => net.set_link_up(l, true),
+        }
+        if matches!(self.events[index], TopoEvent::FailNode(_) | TopoEvent::FailLink(_)) {
+            self.failures_active += 1;
+        } else {
+            self.failures_active = self.failures_active.saturating_sub(1);
         }
     }
 }
@@ -453,56 +451,46 @@ impl Environment for ShareBackupWorld {
     }
 }
 
-/// Map a probe-net link failure onto the physical event the controller
-/// sees, using the deterministic fat-tree wiring (host link m on edge
-/// iface m; edge j ↔ agg (j+m)%k/2 on edge iface k/2+m / agg iface m;
-/// agg j ↔ core j·k/2+u on agg iface k/2+u / core iface pod). The "up"
-/// side's interface is the faulty one, matching the Fig. 1 mapping.
+/// Map the failure of a fat-tree switch or link onto the physical event the
+/// controller sees. `net` is `sb`'s slot network or a plain [`FatTree`]
+/// probe built with the same `k` (chaos schedules are sampled against a
+/// probe because the injector speaks [`NodeId`]/[`LinkId`], not slots);
+/// either way its ids name the same positions as `sb`'s slots. A node
+/// failure on a host is no slot failure: `None`.
 ///
-/// `net` is a plain [`FatTree`] probe network with the same `k` as `sb`
-/// (chaos schedules are sampled against a probe topology because the
-/// injector speaks [`NodeId`]/[`LinkId`], not slots).
-pub fn link_sb_event(sb: &ShareBackup, net: &Network, l: LinkId) -> SbEvent {
-    let link = net.link(l);
-    let half = sb.k() / 2;
-    let (a, b) = (link.a, link.b);
-    let (ka, kb) = (net.node(a).kind, net.node(b).kind);
-    // Order the endpoints lower-layer first.
-    let rank = |k: NodeKind| match k {
-        NodeKind::Host => 0,
-        NodeKind::Edge => 1,
-        NodeKind::Agg => 2,
-        NodeKind::Core => 3,
+/// Links use the deterministic ShareBackup wiring: host link m on edge
+/// iface m; edge j ↔ agg (j+m)%k/2 on edge iface k/2+m / agg iface m; agg
+/// j ↔ core group u on agg iface k/2+u / core iface pod. The "up" side's
+/// interface is the faulty one, matching the Fig. 1 mapping.
+pub fn sb_event(sb: &ShareBackup, net: &Network, failure: FailureKind) -> Option<SbEvent> {
+    let l = match failure {
+        FailureKind::Node(n) => return Some(SbEvent::NodeFail(sb.occupant(sb.node_slot(n)?))),
+        FailureKind::Link(l) => net.link(l),
     };
-    let (lo, hi) = if rank(ka) <= rank(kb) { (a, b) } else { (b, a) };
-    let (nlo, nhi) = (net.node(lo), net.node(hi));
-    match (nlo.kind, nhi.kind) {
-        (NodeKind::Host, NodeKind::Edge) => SbEvent::HostLinkFail {
-            host: lo,
-            switch_side: true,
-        },
-        (NodeKind::Edge, NodeKind::Agg) => {
-            // lint:allow(unwrap) — every edge switch has a pod by construction
-            let pod = nlo.pod.expect("edge has a pod");
-            let (j, agg) = (nlo.index, nhi.index);
-            let m = (agg + half - j) % half;
-            SbEvent::LinkFail {
-                faulty: (sb.occupant(GroupId::edge(pod).slot(j)), half + m),
-                other: (sb.occupant(GroupId::agg(pod).slot(agg)), m),
-            }
+    let host_link = |host| SbEvent::HostLinkFail {
+        host,
+        switch_side: true,
+    };
+    // Order the switch ends lower layer first.
+    let (lo, hi) = match (sb.node_slot(l.a), sb.node_slot(l.b)) {
+        (Some(a), Some(b)) if a.group.kind <= b.group.kind => (a, b),
+        (Some(a), Some(b)) => (b, a),
+        (None, _) => return Some(host_link(l.a)),
+        (_, None) => return Some(host_link(l.b)),
+    };
+    let half = sb.k() / 2;
+    let (faulty, other) = match hi.group.kind {
+        GroupKind::Agg => {
+            let m = (hi.slot + half - lo.slot) % half;
+            (half + m, m)
         }
-        (NodeKind::Agg, NodeKind::Core) => {
-            // lint:allow(unwrap) — every agg switch has a pod by construction
-            let pod = nlo.pod.expect("agg has a pod");
-            let (j, core) = (nlo.index, nhi.index);
-            let u = core % half;
-            SbEvent::LinkFail {
-                faulty: (sb.occupant(GroupId::agg(pod).slot(j)), half + u),
-                other: (sb.occupant(GroupId::core(u).slot(j)), pod),
-            }
-        }
-        other => unreachable!("no fat-tree link between {other:?}"),
-    }
+        GroupKind::Core => (half + hi.group.index, lo.group.index),
+        GroupKind::Edge => unreachable!("no fat-tree link joins two edge switches"),
+    };
+    Some(SbEvent::LinkFail {
+        faulty: (sb.occupant(lo), faulty),
+        other: (sb.occupant(hi), other),
+    })
 }
 
 /// Translate an injector-produced chaos schedule (against a plain fat-tree
@@ -517,20 +505,10 @@ pub fn map_chaos_schedule(
     net: &Network,
     events: &[FailureEvent],
 ) -> Vec<(Time, SbEvent)> {
-    let mut out: Vec<(Time, SbEvent)> = Vec::with_capacity(events.len());
-    for ev in events {
-        let sb_ev = match ev.kind {
-            FailureKind::Node(node) => {
-                let Some(slot) = sb.node_slot(node) else {
-                    continue;
-                };
-                SbEvent::NodeFail(sb.occupant(slot))
-            }
-            FailureKind::Link(l) => link_sb_event(sb, net, l),
-        };
-        out.push((ev.at, sb_ev));
-    }
-    out
+    events
+        .iter()
+        .filter_map(|ev| Some((ev.at, sb_event(sb, net, ev.kind)?)))
+        .collect()
 }
 
 /// Build the matched `(events, epoch_times)` pair for a set of ShareBackup

@@ -5,11 +5,12 @@
 //! enumerated by the topology crates; the choice is a pure function of the
 //! flow key, so it never flaps.
 
-use sharebackup_topo::{F10Topology, FatTree, NodeId};
+use sharebackup_topo::{FatTree, NodeId};
 
 use crate::flow::FlowKey;
 
-/// The ECMP path of `flow` in a healthy fat-tree.
+/// The ECMP path of `flow` in a healthy fat-tree of either striping
+/// (standard or F10's AB).
 ///
 /// Failure state is intentionally ignored: this is the *static* route that
 /// fat-tree forwards along until a rerouting mechanism intervenes, and the
@@ -21,18 +22,10 @@ pub fn ecmp_path(ft: &FatTree, flow: &FlowKey) -> Vec<NodeId> {
     paths.into_iter().nth(pick).expect("pick is in range")
 }
 
-/// The ECMP path of `flow` in a healthy F10 network.
-pub fn ecmp_path_f10(f10: &F10Topology, flow: &FlowKey) -> Vec<NodeId> {
-    let paths = f10.host_paths(flow.src, flow.dst);
-    let pick = flow.pick(paths.len());
-    // lint:allow(unwrap) — `pick(n)` asserts n > 0 and returns hash % n < n
-    paths.into_iter().nth(pick).expect("pick is in range")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharebackup_topo::{FatTreeConfig, HostAddr};
+    use sharebackup_topo::{F10Topology, FatTreeConfig, HostAddr};
 
     #[test]
     fn choice_is_stable() {
@@ -67,7 +60,7 @@ mod tests {
         let src = f10.host(HostAddr { pod: 0, edge: 0, host: 0 });
         let dst = f10.host(HostAddr { pod: 1, edge: 1, host: 1 });
         for id in 0..32 {
-            let p = ecmp_path_f10(&f10, &FlowKey::new(src, dst, id));
+            let p = ecmp_path(&f10, &FlowKey::new(src, dst, id));
             assert!(f10.net.path_usable(&p));
         }
     }

@@ -14,7 +14,7 @@
 //! detour links, which is exactly why the paper's Fig. 1(c) shows F10's CCT
 //! degrading *more* than fat-tree's global rerouting under single failures.
 
-use sharebackup_topo::{F10Topology, NodeId};
+use sharebackup_topo::{FatTree, NodeId};
 
 use crate::flow::FlowKey;
 
@@ -25,8 +25,9 @@ pub struct F10Router;
 impl F10Router {
     /// Route `flow` under the current failure state using F10's local
     /// rerouting rules. Returns `None` when the flow is unrecoverable (an
-    /// endpoint's edge switch or host link is gone).
-    pub fn route(f10: &F10Topology, flow: &FlowKey) -> Option<Vec<NodeId>> {
+    /// endpoint's edge switch or host link is gone). `f10` is an AB-striped
+    /// tree ([`sharebackup_topo::F10Topology`] derefs to one).
+    pub fn route(f10: &FatTree, flow: &FlowKey) -> Option<Vec<NodeId>> {
         let s = f10.addr_of(flow.src);
         let d = f10.addr_of(flow.dst);
         let net = &f10.net;
@@ -109,14 +110,12 @@ impl F10Router {
             alts[flow.pick_salted(alts.len(), 4)]
         };
         let a1 = f10.agg(s.pod, a);
-        let cores = f10.cores_of_agg(s.pod, a);
-        let c_orig = cores[m_orig];
+        let c_orig = f10.core_of(s.pod, a, m_orig);
         let c = if usable(a1, f10.core(c_orig)) {
             c_orig
         } else {
-            let alts: Vec<usize> = cores
-                .iter()
-                .copied()
+            let alts: Vec<usize> = (0..half)
+                .map(|m| f10.core_of(s.pod, a, m))
                 .filter(|&c| usable(a1, f10.core(c)))
                 .collect();
             if alts.is_empty() {
@@ -138,7 +137,6 @@ impl F10Router {
         // Core-level detour: core → via-agg in a third pod → alternate core
         // entering the destination pod at a different agg → dest edge.
         if !usable(core, a2) || !net.node(a2).up {
-            let mut salt = 0;
             let mut candidates = Vec::new();
             for p_via in (0..f10.k()).filter(|&p| p != s.pod && p != d.pod) {
                 let via_idx = f10.agg_for_core(p_via, c);
@@ -146,7 +144,7 @@ impl F10Router {
                 if !usable(core, via) {
                     continue;
                 }
-                for c2 in f10.cores_of_agg(p_via, via_idx) {
+                for c2 in (0..half).map(|m| f10.core_of(p_via, via_idx, m)) {
                     if c2 == c {
                         continue;
                     }
@@ -162,8 +160,6 @@ impl F10Router {
                         ]);
                     }
                 }
-                salt += 1;
-                let _ = salt;
             }
             if !candidates.is_empty() {
                 let pick = flow.pick_salted(candidates.len(), 1);
@@ -200,10 +196,10 @@ impl F10Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharebackup_topo::{FatTreeConfig, HostAddr};
+    use sharebackup_topo::{F10Topology, FatTreeConfig, HostAddr};
 
-    fn f10_6() -> F10Topology {
-        F10Topology::build(FatTreeConfig::new(6))
+    fn f10_6() -> FatTree {
+        F10Topology::build(FatTreeConfig::new(6)).into()
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! * [`twolevel`] — the Two-Level Routing tables of Al-Fares et al. that
 //!   fat-tree switches (and therefore ShareBackup slots) forward with.
 //! * [`ecmp`] — hash-based equal-cost multipath selection over the
-//!   enumerated shortest paths (how the paper's §2.2 simulations route).
+//!   enumerated shortest paths (how the paper's §2.2 simulations route), for
+//!   the standard fat-tree and F10 alike (F10 is a fat-tree with AB
+//!   striping).
 //! * [`reroute`] — fat-tree *global optimal rerouting*: path re-selection
 //!   over the surviving topology with load-aware assignment (baseline 1).
-//! * [`f10`] — F10's *local rerouting*: same-length parent re-selection for
-//!   upward failures and the 3-hop local detour for downward failures
-//!   (baseline 2, the one the paper finds congests longer paths).
+//! * [`f10`] — F10's *local rerouting* over an AB-striped fat-tree:
+//!   same-length parent re-selection for upward failures and the 3-hop
+//!   local detour for downward failures (baseline 2, the one the paper
+//!   finds congests longer paths).
 //! * [`impersonation`] — ShareBackup's live-impersonation tables (paper
 //!   §4.3): per-failure-group merged tables, VLAN-differentiated at the edge
 //!   layer, small enough for commodity TCAM (1056 entries at k=64).

@@ -224,7 +224,6 @@ impl TwoLevelTables {
     /// flow-hash ECMP over the equal-cost set instead, but both must agree
     /// on shape (asserted in tests).
     pub fn forward_path(&self, ft: &FatTree, src: NodeId, dst: NodeId) -> Vec<NodeId> {
-        let half = self.k / 2;
         let s = ft.addr_of(src);
         let d = ft.addr_of(dst);
         let mut path = vec![src];
@@ -253,16 +252,16 @@ impl TwoLevelTables {
                 }
                 // lint:allow(unwrap) — only in-pod switches yield ToEdge/Up
                 NextHop::ToEdge(e) => ft.edge(node.pod.expect("in pod"), e),
-                NextHop::Up(m) => match node.kind {
+                NextHop::Up(m) => {
                     // lint:allow(unwrap) — only in-pod switches yield ToEdge/Up
-                    NodeKind::Edge => ft.agg(node.pod.expect("in pod"), m),
-                    NodeKind::Agg => ft.core(node.index * half + m),
-                    _ => unreachable!("only edge/agg go up"),
-                },
-                NextHop::ToPod(p) => {
-                    // Core index c = a·k/2 + m connects to agg a of pod p.
-                    ft.agg(p, node.index / half)
+                    let pod = node.pod.expect("in pod");
+                    match node.kind {
+                        NodeKind::Edge => ft.agg(pod, m),
+                        NodeKind::Agg => ft.core(ft.core_of(pod, node.index, m)),
+                        _ => unreachable!("only edge/agg go up"),
+                    }
                 }
+                NextHop::ToPod(p) => ft.agg(p, ft.agg_for_core(p, node.index)),
             };
             path.push(at);
             assert!(path.len() <= 8, "forwarding loop: {path:?}");

@@ -21,8 +21,8 @@ proptest! {
     fn ecmp_paths_are_valid_and_stable(k in ks(), id in 0u64..10_000, h1 in 0usize..64, h2 in 0usize..64) {
         let ft = FatTree::build(FatTreeConfig::new(k));
         let count = ft.hosts().len();
-        let src = ft.host_by_index(h1 % count);
-        let dst = ft.host_by_index(h2 % count);
+        let src = ft.hosts()[h1 % count];
+        let dst = ft.hosts()[h2 % count];
         prop_assume!(src != dst);
         let flow = FlowKey::new(src, dst, id);
         let p1 = ecmp_path(&ft, &flow);
@@ -38,8 +38,8 @@ proptest! {
         let ft = FatTree::build(FatTreeConfig::new(k));
         let tables = TwoLevelTables::build(k);
         let count = ft.hosts().len();
-        let src = ft.host_by_index(h1 % count);
-        let dst = ft.host_by_index(h2 % count);
+        let src = ft.hosts()[h1 % count];
+        let dst = ft.hosts()[h2 % count];
         prop_assume!(src != dst);
         let p = tables.forward_path(&ft, src, dst);
         prop_assert!(ft.net.path_usable(&p));

@@ -4,6 +4,12 @@
 //! `k/2` aggregation switches; `(k/2)²` core switches join the pods; each edge
 //! switch serves `k/2` hosts, for `k³/4` hosts total.
 //!
+//! Which core each aggregation uplink reaches (the *striping*) is decided
+//! here and nowhere else: [`FatTree::core_of`] and [`FatTree::agg_for_core`].
+//! The standard tree stripes every pod consecutively (type A). F10's AB
+//! fat-tree ([`crate::F10Topology`]) has the same nodes and links and
+//! differs only in that odd pods use the transposed striping (type B).
+//!
 //! The paper's §2.2 failure study maps a 150-rack 10:1-oversubscribed
 //! production trace onto a k=16 fat-tree with the same oversubscription at
 //! the edge, so the builder takes an oversubscription factor: uplinks carry
@@ -91,6 +97,24 @@ impl HostAddr {
     }
 }
 
+/// The striping type of a pod: which core each aggregation uplink reaches.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PodType {
+    /// Consecutive striping: agg `a` → cores `a·k/2 + m`.
+    A,
+    /// Transposed striping: agg `a` → cores `m·k/2 + a`.
+    B,
+}
+
+/// The agg→core striping of a whole tree.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Striping {
+    /// Every pod is type A: the fat-tree of Al-Fares et al.
+    Standard,
+    /// F10's AB fat-tree: even pods are type A, odd pods type B.
+    AB,
+}
+
 /// A built fat-tree: the graph plus layer indexes for O(1) lookup.
 #[derive(Clone, Debug)]
 pub struct FatTree {
@@ -102,15 +126,25 @@ pub struct FatTree {
     edges: Vec<Vec<NodeId>>,
     aggs: Vec<Vec<NodeId>>,
     cores: Vec<NodeId>,
+    striping: Striping,
 }
 
 impl FatTree {
-    /// Build a fat-tree.
+    /// Build a fat-tree with the standard striping.
+    ///
+    /// # Panics
+    /// Panics if `k` is odd or less than 4.
+    pub fn build(cfg: FatTreeConfig) -> FatTree {
+        FatTree::build_striped(cfg, Striping::Standard)
+    }
+
+    /// Build a fat-tree with the given agg→core striping. Node and link
+    /// order do not depend on the striping.
     ///
     /// # Panics
     /// Panics if `k` is odd or less than 4.
     #[allow(clippy::needless_range_loop)] // indices double as addresses
-    pub fn build(cfg: FatTreeConfig) -> FatTree {
+    pub(crate) fn build_striped(cfg: FatTreeConfig, striping: Striping) -> FatTree {
         assert!(cfg.k >= 4 && cfg.k.is_multiple_of(2), "k must be even and >= 4");
         let k = cfg.k;
         let half = k / 2;
@@ -146,6 +180,15 @@ impl FatTree {
             }
         }
 
+        let mut ft = FatTree {
+            cfg,
+            net,
+            hosts,
+            edges,
+            aggs,
+            cores,
+            striping,
+        };
         let uplink = cfg.uplink_bps();
         for pod in 0..k {
             // Host <-> edge.
@@ -157,31 +200,24 @@ impl FatTree {
                         host: h,
                     }
                     .to_index(k);
-                    net.add_link(hosts[idx], edges[pod][e], cfg.host_link_bps);
+                    ft.net.add_link(ft.hosts[idx], ft.edges[pod][e], cfg.host_link_bps);
                 }
             }
             // Edge <-> agg: full bipartite within the pod.
             for e in 0..half {
                 for a in 0..half {
-                    net.add_link(edges[pod][e], aggs[pod][a], uplink);
+                    ft.net.add_link(ft.edges[pod][e], ft.aggs[pod][a], uplink);
                 }
             }
-            // Agg j <-> cores j·k/2 .. j·k/2 + k/2 − 1.
+            // Agg a's m-th uplink <-> core `core_of(pod, a, m)`.
             for a in 0..half {
                 for m in 0..half {
-                    net.add_link(aggs[pod][a], cores[a * half + m], uplink);
+                    let core = ft.cores[ft.core_of(pod, a, m)];
+                    ft.net.add_link(ft.aggs[pod][a], core, uplink);
                 }
             }
         }
-
-        FatTree {
-            cfg,
-            net,
-            hosts,
-            edges,
-            aggs,
-            cores,
-        }
+        ft
     }
 
     /// Fat-tree parameter `k`.
@@ -192,11 +228,6 @@ impl FatTree {
     /// Node id of the host at `addr`.
     pub fn host(&self, addr: HostAddr) -> NodeId {
         self.hosts[addr.to_index(self.cfg.k)]
-    }
-
-    /// Node id of the host with the given global index.
-    pub fn host_by_index(&self, index: usize) -> NodeId {
-        self.hosts[index]
     }
 
     /// All host node ids, in global-index order.
@@ -234,10 +265,35 @@ impl FatTree {
         HostAddr::from_index(node.index, self.cfg.k)
     }
 
-    /// The core switch an aggregation switch with in-pod index `a` reaches on
-    /// its `m`-th uplink: global core index `a·k/2 + m`.
-    pub fn core_index(&self, a: usize, m: usize) -> usize {
-        a * (self.cfg.k / 2) + m
+    /// Striping type of `pod`. Every pod of a standard tree is type A; an
+    /// AB tree (F10) alternates A (even pods) and B (odd pods).
+    pub fn pod_type(&self, pod: usize) -> PodType {
+        if self.striping == Striping::AB && !pod.is_multiple_of(2) {
+            PodType::B
+        } else {
+            PodType::A
+        }
+    }
+
+    /// Global index of the core that aggregation switch `a` of `pod`
+    /// reaches on its `m`-th uplink: `a·k/2 + m` in a type-A pod,
+    /// `m·k/2 + a` in a type-B pod.
+    pub fn core_of(&self, pod: usize, a: usize, m: usize) -> usize {
+        let half = self.cfg.k / 2;
+        match self.pod_type(pod) {
+            PodType::A => a * half + m,
+            PodType::B => m * half + a,
+        }
+    }
+
+    /// In-pod index of the aggregation switch that core `c` connects to in
+    /// `pod`. Every core reaches exactly one agg per pod.
+    pub fn agg_for_core(&self, pod: usize, c: usize) -> usize {
+        let half = self.cfg.k / 2;
+        match self.pod_type(pod) {
+            PodType::A => c / half,
+            PodType::B => c % half,
+        }
     }
 
     /// All equal-cost shortest paths between two hosts, as node sequences
@@ -265,13 +321,13 @@ impl FatTree {
         let mut paths = Vec::with_capacity(half * half);
         for a in 0..half {
             for m in 0..half {
-                let core = self.cores[self.core_index(a, m)];
+                let c = self.core_of(s.pod, a, m);
                 paths.push(vec![
                     src,
                     se,
                     self.aggs[s.pod][a],
-                    core,
-                    self.aggs[d.pod][a],
+                    self.cores[c],
+                    self.aggs[d.pod][self.agg_for_core(d.pod, c)],
                     de,
                     dst,
                 ]);
@@ -384,16 +440,104 @@ mod tests {
         let ft = FatTree::build(FatTreeConfig::new(6));
         // Agg a in every pod connects to the same cores a·k/2+m.
         for pod in 0..6 {
+            assert_eq!(ft.pod_type(pod), PodType::A);
             for a in 0..3 {
                 for m in 0..3 {
-                    let core = ft.core(ft.core_index(a, m));
+                    assert_eq!(ft.core_of(pod, a, m), a * 3 + m);
+                    let core = ft.core(ft.core_of(pod, a, m));
                     assert!(
                         ft.net.link_between(ft.agg(pod, a), core).is_some(),
                         "agg({pod},{a}) should reach core {}",
-                        ft.core_index(a, m)
+                        a * 3 + m
                     );
                 }
             }
+        }
+    }
+
+    fn ab_tree(k: usize) -> crate::F10Topology {
+        crate::F10Topology::build(FatTreeConfig::new(k))
+    }
+
+    #[test]
+    fn counts_match_fattree() {
+        let f10 = ab_tree(8);
+        assert_eq!(f10.hosts().len(), 128);
+        assert_eq!(f10.cores().len(), 16);
+        assert_eq!(f10.net.link_count(), 128 + 2 * 8 * 16);
+    }
+
+    #[test]
+    fn ab_striping_differs() {
+        let f10 = ab_tree(8);
+        assert_eq!(f10.pod_type(0), PodType::A);
+        assert_eq!(f10.pod_type(1), PodType::B);
+        let cores_of_agg = |pod, a| (0..4).map(|m| f10.core_of(pod, a, m)).collect::<Vec<_>>();
+        assert_eq!(cores_of_agg(0, 1), vec![4, 5, 6, 7]); // consecutive
+        assert_eq!(cores_of_agg(1, 1), vec![1, 5, 9, 13]); // strided
+    }
+
+    #[test]
+    fn every_core_reaches_one_agg_per_pod() {
+        let f10 = ab_tree(6);
+        for pod in 0..6 {
+            for c in 0..9 {
+                let a = f10.agg_for_core(pod, c);
+                assert!(
+                    f10.net.link_between(f10.agg(pod, a), f10.core(c)).is_some(),
+                    "core {c} should reach agg({pod},{a})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn core_degree_is_k() {
+        let f10 = ab_tree(6);
+        for j in 0..9 {
+            assert_eq!(f10.net.incident(f10.core(j)).len(), 6);
+        }
+    }
+
+    #[test]
+    fn cross_pod_paths_valid_and_complete() {
+        let f10 = ab_tree(4);
+        let a = f10.host(HostAddr { pod: 0, edge: 0, host: 0 });
+        let b = f10.host(HostAddr { pod: 1, edge: 1, host: 0 });
+        let paths = f10.host_paths(a, b);
+        assert_eq!(paths.len(), 4);
+        for p in &paths {
+            assert_eq!(p.len(), 7);
+            assert!(f10.net.path_usable(p), "unusable path {p:?}");
+        }
+        // Paths must use distinct cores.
+        let mut cores: Vec<NodeId> = paths.iter().map(|p| p[3]).collect();
+        cores.sort();
+        cores.dedup();
+        assert_eq!(cores.len(), 4);
+    }
+
+    #[test]
+    fn f10_detour_property_holds() {
+        // The property local rerouting relies on: for a core c and a type-A
+        // target pod, some type-B pod contains an agg connected to both c and
+        // an alternate core c' that enters the target pod at a different agg.
+        let f10 = ab_tree(6);
+        let target_pod = 0; // type A
+        for c in 0..9 {
+            let blocked_agg = f10.agg_for_core(target_pod, c);
+            let mut found = false;
+            'search: for b_pod in (0..6).filter(|p| f10.pod_type(*p) == PodType::B) {
+                let via = f10.agg_for_core(b_pod, c);
+                for m in 0..3 {
+                    let c2 = f10.core_of(b_pod, via, m);
+                    if c2 != c && f10.agg_for_core(target_pod, c2) != blocked_agg {
+                        found = true;
+                        break 'search;
+                    }
+                }
+            }
+            assert!(found, "no 3-hop detour for core {c} into pod {target_pod}");
         }
     }
 

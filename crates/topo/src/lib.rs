@@ -7,9 +7,11 @@
 //!
 //! * [`fattree`] — the k-ary fat-tree of Al-Fares et al. (SIGCOMM'08), the
 //!   base architecture ShareBackup augments and one of the two rerouting
-//!   baselines of the paper's §2.2 failure study.
+//!   baselines of the paper's §2.2 failure study. The agg→core striping is
+//!   decided here only ([`FatTree::core_of`], [`FatTree::agg_for_core`]).
 //! * [`f10`] — the F10 AB fat-tree of Liu et al. (NSDI'13), the second
-//!   baseline, whose alternating striping enables local 3-hop rerouting.
+//!   baseline: a [`FatTree`] with AB striping (odd pods transposed), which
+//!   enables local 3-hop rerouting.
 //! * [`circuit`] — the configurable circuit-switch crossbar (electrical
 //!   crosspoint or 2D-MEMS optical), the paper's §3 enabling technology.
 //! * [`sharebackup`] — the ShareBackup physical architecture: a fat-tree
@@ -32,8 +34,8 @@ pub mod sharebackup;
 
 pub use cabling::CablingReport;
 pub use circuit::{Attachment, CircuitSwitch, CircuitTech, CsPort};
-pub use f10::{F10Topology, PodType};
-pub use fattree::{FatTree, FatTreeConfig, HostAddr};
+pub use f10::F10Topology;
+pub use fattree::{FatTree, FatTreeConfig, HostAddr, PodType};
 pub use graph::{Network, NodeKind};
 pub use ids::{GroupId, GroupKind, LinkId, NodeId, PhysId, SlotId};
 pub use sharebackup::{CsId, DiagConfig, ReplaceReport, ShareBackup, ShareBackupConfig};

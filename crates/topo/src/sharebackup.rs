@@ -248,9 +248,12 @@ impl ShareBackup {
                 node_slot.insert(slots.agg(pod, j), GroupId::agg(pod).slot(j));
             }
         }
+        // Core group u, slot j: the core that agg j of every pod reaches on
+        // uplink u (the slot tree's standard striping is the same in all
+        // pods, so pod 0 stands for any).
         for j in 0..half {
             for u in 0..half {
-                node_slot.insert(slots.core(j * half + u), GroupId::core(u).slot(j));
+                node_slot.insert(slots.core(slots.core_of(0, j, u)), GroupId::core(u).slot(j));
             }
         }
 
@@ -479,11 +482,12 @@ impl ShareBackup {
 
     /// The slot-network node for a slot.
     pub fn slot_node(&self, slot: SlotId) -> NodeId {
-        let half = self.half();
         match slot.group.kind {
             GroupKind::Edge => self.slots.edge(slot.group.index, slot.slot),
             GroupKind::Agg => self.slots.agg(slot.group.index, slot.slot),
-            GroupKind::Core => self.slots.core(slot.slot * half + slot.group.index),
+            GroupKind::Core => self
+                .slots
+                .core(self.slots.core_of(0, slot.slot, slot.group.index)),
         }
     }
 
@@ -665,7 +669,7 @@ impl ShareBackup {
                         && !self.iface_broken(agg_occ, m);
                     updates.push((self.slots.edge(pod, j), self.slots.agg(pod, a), up));
                 }
-                // Agg j ↔ core j*half+u via CS3[pod][u].
+                // Agg j's uplink u ↔ its core via CS3[pod][u].
                 let agg_occ = self.occupancy[&GroupId::agg(pod).slot(j)];
                 for u in 0..half {
                     let core_occ = self.occupancy[&GroupId::core(u).slot(j)];
@@ -674,7 +678,7 @@ impl ShareBackup {
                         && !self.iface_broken(core_occ, pod);
                     updates.push((
                         self.slots.agg(pod, j),
-                        self.slots.core(j * half + u),
+                        self.slots.core(self.slots.core_of(pod, j, u)),
                         up,
                     ));
                 }
