@@ -12,7 +12,7 @@
 use sharebackup_bench::{parallel_map_indexed, Args};
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_sim::{Duration, SimRng, Time};
-use sharebackup_topo::{GroupId, ShareBackup, ShareBackupConfig};
+use sharebackup_topo::{CsId, GroupId, LinkEnd, ShareBackup, ShareBackupConfig};
 
 struct Outcome {
     exonerated: u64,
@@ -37,18 +37,23 @@ fn run(k: usize, trials: usize, seed: u64, with_diagnosis: bool) -> Outcome {
     for _ in 0..trials {
         now += Duration::from_secs(45);
         ctl.poll_repairs(now);
-        // Random edge-agg link failure: edge (pod, e) uplink m breaks.
+        // Random edge-agg link failure: the edge end of edge (pod, e)'s
+        // link through CS_{2,pod,m} breaks.
         let pod = rng.range(0..k);
         let e = rng.range(0..half);
         let m = rng.range(0..half);
-        let a = (e + m) % half;
-        let edge = ctl.sb.occupant(GroupId::edge(pod).slot(e));
-        let agg = ctl.sb.occupant(GroupId::agg(pod).slot(a));
+        let edge_slot = GroupId::edge(pod).slot(e);
+        let edge = ctl.sb.occupant(edge_slot);
+        let edge_iface = ctl.sb.iface_on(edge, CsId::EdgeAgg { pod, m }).expect("cabled to every CS2");
+        let LinkEnd::Iface(agg_slot, agg_iface) = ctl.sb.peer(edge_slot, edge_iface) else {
+            unreachable!("an edge uplink faces an agg");
+        };
+        let agg = ctl.sb.occupant(agg_slot);
         if !ctl.sb.phys(edge).healthy || !ctl.sb.phys(agg).healthy {
             continue; // slot already down from an unrecovered failure
         }
-        ctl.sb.set_iface_broken(edge, half + m, true);
-        let _ = ctl.handle_link_failure((edge, half + m), (agg, m), now);
+        ctl.sb.set_iface_broken(edge, edge_iface, true);
+        let _ = ctl.handle_link_failure((edge, edge_iface), (agg, agg_iface), now);
         let out = ctl
             .sb
             .group_ids()

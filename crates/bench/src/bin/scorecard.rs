@@ -16,7 +16,7 @@ use sharebackup_cost::{CapacityAnalysis, ScalabilityLimits};
 use sharebackup_flowsim::properties::total_usable_capacity;
 use sharebackup_routing::impersonation::GroupTables;
 use sharebackup_sim::{SimRng, Time};
-use sharebackup_topo::{CircuitTech, GroupId, ShareBackup, ShareBackupConfig};
+use sharebackup_topo::{CircuitTech, GroupId, LinkEnd, ShareBackup, ShareBackupConfig};
 use sharebackup_workload::{CoflowTrace, TraceConfig, TraceShape};
 
 struct Check {
@@ -75,10 +75,15 @@ fn checks() -> Vec<Check> {
         ShareBackup::build(ShareBackupConfig::new(6, 1)),
         ControllerConfig::default(),
     );
-    let edge = ctl.sb.occupant(GroupId::edge(0).slot(0));
-    let agg = ctl.sb.occupant(GroupId::agg(0).slot(0));
-    ctl.sb.set_iface_broken(edge, 3, true);
-    ctl.handle_link_failure((edge, 3), (agg, 0), Time::ZERO);
+    let link = ctl.sb.slots.net.link_between(ctl.sb.slots.edge(0, 0), ctl.sb.slots.agg(0, 0));
+    let (LinkEnd::Iface(edge_slot, edge_iface), (agg_slot, agg_iface)) =
+        ctl.sb.link_ends(link.expect("edge-agg link"))
+    else {
+        unreachable!("an edge-agg link has switches at both ends");
+    };
+    let (edge, agg) = (ctl.sb.occupant(edge_slot), ctl.sb.occupant(agg_slot));
+    ctl.sb.set_iface_broken(edge, edge_iface, true);
+    ctl.handle_link_failure((edge, edge_iface), (agg, agg_iface), Time::ZERO);
     push(
         "§4.2",
         "link failure: both replaced, diagnosis exonerates innocent side",

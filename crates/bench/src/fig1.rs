@@ -17,6 +17,7 @@ use sharebackup_flowsim::{impact, Coflow, FlowSim, SimOutcome};
 use sharebackup_routing::ecmp_path;
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_telemetry::{TraceBuffer, Tracer};
+use sharebackup_topo::sharebackup::cs2_agg;
 use sharebackup_topo::{F10Topology, FatTree, FatTreeConfig, HostAddr, ShareBackup, ShareBackupConfig};
 use sharebackup_workload::{CoflowTrace, FailureInjector, FailureKind, TraceConfig};
 
@@ -180,7 +181,6 @@ impl AbstractFailure {
     /// The node or link at this position of `ft` (either striping: uplink
     /// `m` resolves through the tree's own striping).
     fn position(&self, ft: &FatTree) -> FailureKind {
-        let half = ft.k() / 2;
         let link = |a, b| FailureKind::Link(ft.net.link_between(a, b).expect("fat-tree link"));
         match *self {
             AbstractFailure::Edge(p, j) => FailureKind::Node(ft.edge(p, j)),
@@ -188,7 +188,7 @@ impl AbstractFailure {
             AbstractFailure::Core(c) => FailureKind::Node(ft.core(c)),
             AbstractFailure::LinkEdgeUp { pod, e, m } => {
                 // The same position ShareBackup wires via CS2[m].
-                link(ft.edge(pod, e), ft.agg(pod, (e + m) % half))
+                link(ft.edge(pod, e), ft.agg(pod, cs2_agg(ft.k(), e, m)))
             }
             AbstractFailure::LinkAggUp { pod, a, m } => {
                 link(ft.agg(pod, a), ft.core(ft.core_of(pod, a, m)))

@@ -4,6 +4,7 @@
 //! without `--json`, at the default k=4. The harnesses that run all three
 //! systems, F10 included (`fig1c_cct`, `table3_properties`, `fig1_affected`),
 //! must print their committed tables, and `fig1c_cct` its trace digest. The
+//! fast results bins must print their committed `results/` files. The
 //! CI jobs-invariance diffs cannot catch a change that moves the output at
 //! every `--jobs` value; this test does.
 
@@ -73,7 +74,7 @@ fn fig1c_cct_matches_golden() {
 #[test]
 fn table3_properties_matches_golden() {
     let bin = env!("CARGO_BIN_EXE_table3_properties");
-    check_stdout(bin, &[], include_str!("golden/table3_properties.txt"));
+    check_stdout(bin, &[], include_str!("../../../results/table3_properties.txt"));
     check_stdout(bin, &["--k", "4"], include_str!("golden/table3_properties.k4.txt"));
 }
 
@@ -84,6 +85,45 @@ fn fig1_affected_matches_golden() {
         &["--k", "4", "--trials", "2"],
         include_str!("golden/fig1_affected.k4.txt"),
     );
+}
+
+/// Every fast results bin, run at its default args, prints exactly its
+/// committed `results/<bin>.txt`. (`ablation_pool_size` is left out: it takes
+/// about 20 s in a debug build.)
+#[test]
+fn results_match_committed_files() {
+    let bins: [(&str, &str); 12] = [
+        (env!("CARGO_BIN_EXE_recovery_timeline"), include_str!("../../../results/recovery_timeline.txt")),
+        (env!("CARGO_BIN_EXE_scorecard"), include_str!("../../../results/scorecard.txt")),
+        (env!("CARGO_BIN_EXE_longrun_availability"), include_str!("../../../results/longrun_availability.txt")),
+        (env!("CARGO_BIN_EXE_ablation_diagnosis"), include_str!("../../../results/ablation_diagnosis.txt")),
+        (env!("CARGO_BIN_EXE_ablation_nonuniform"), include_str!("../../../results/ablation_nonuniform.txt")),
+        (env!("CARGO_BIN_EXE_ablation_circuit_tech"), include_str!("../../../results/ablation_circuit_tech.txt")),
+        (env!("CARGO_BIN_EXE_recovery_latency"), include_str!("../../../results/recovery_latency.txt")),
+        (env!("CARGO_BIN_EXE_capacity"), include_str!("../../../results/capacity.txt")),
+        (env!("CARGO_BIN_EXE_table2_cost"), include_str!("../../../results/table2_cost.txt")),
+        (env!("CARGO_BIN_EXE_fig5_cost"), include_str!("../../../results/fig5_cost.txt")),
+        (env!("CARGO_BIN_EXE_scalability"), include_str!("../../../results/scalability.txt")),
+        (env!("CARGO_BIN_EXE_table_routing_size"), include_str!("../../../results/table_routing_size.txt")),
+    ];
+    for (bin, golden) in bins {
+        check_stdout(bin, &[], golden);
+    }
+}
+
+/// `recovery_timeline --trace-out` writes the committed trace digest: the
+/// engine events and the recovery span tree of every timeline.
+#[test]
+fn recovery_timeline_trace_matches_golden() {
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("recovery_timeline.json");
+    let trace = trace.to_str().expect("utf-8 path");
+    check_stdout(
+        env!("CARGO_BIN_EXE_recovery_timeline"),
+        &["--trace-out", trace],
+        include_str!("../../../results/recovery_timeline.txt"),
+    );
+    let digest = std::fs::read_to_string(format!("{trace}.digest")).expect("trace digest");
+    assert_eq!(digest, include_str!("golden/recovery_timeline.trace.digest"));
 }
 
 #[test]

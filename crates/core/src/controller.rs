@@ -610,17 +610,8 @@ impl Controller {
             unrecovered: Vec::new(),
             diagnosis: Vec::new(),
         };
-        // The host's edge slot: follow its (single) link.
-        let edge_node = {
-            let net = &self.sb.slots.net;
-            let l = net.incident(host)[0];
-            net.link(l).other(host)
-        };
-        let slot = self
-            .sb
-            .node_slot(edge_node)
-            // lint:allow(unwrap) — hosts attach to edge slots by construction
-            .expect("host connects to an edge slot");
+        let (slot, _) = self.sb.host_edge(host);
+        let edge_node = self.sb.slot_node(slot);
         let suspect = self.sb.occupant(slot);
         self.try_replace(slot, now, &mut recovery);
         if !recovery.replaced.is_empty() {
@@ -630,7 +621,7 @@ impl Controller {
                 .slots
                 .net
                 .link_between(host, edge_node)
-                // lint:allow(unwrap) — the host link was found above via incident()
+                // lint:allow(unwrap) — a host's edge slot holds its one link
                 .expect("host link");
             if self.sb.slots.net.link_usable(link) {
                 // Switch was at fault: repair it.

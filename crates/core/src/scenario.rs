@@ -23,7 +23,7 @@ use sharebackup_routing::{
 };
 use sharebackup_sim::{Duration, Time};
 use sharebackup_topo::{
-    F10Topology, FatTree, GroupKind, LinkId, Network, NodeId, PhysId, ShareBackup,
+    F10Topology, FatTree, LinkEnd, LinkId, Network, NodeId, PhysId, ShareBackup,
 };
 use sharebackup_workload::{FailureEvent, FailureKind};
 
@@ -238,15 +238,9 @@ impl SbEvent {
                 host,
                 switch_side: true,
             } => {
-                // The host's edge slot occupant's down-port h breaks.
-                let net = &sb.slots.net;
-                let edge_node = net.link(net.incident(host)[0]).other(host);
-                let slot = sb
-                    .node_slot(edge_node)
-                    // lint:allow(unwrap) — hosts attach to edge slots by construction
-                    .expect("host connects to an edge slot");
-                let h = net.node(host).index % (sb.k() / 2);
-                sb.set_iface_broken(sb.occupant(slot), h, true);
+                // The host-facing interface of its edge slot's occupant breaks.
+                let (slot, iface) = sb.host_edge(host);
+                sb.set_iface_broken(sb.occupant(slot), iface, true);
             }
             SbEvent::HostLinkFail { host, .. } => sb.set_host_nic_broken(host, true),
             _ => {}
@@ -458,38 +452,24 @@ impl Environment for ShareBackupWorld {
 /// either way its ids name the same positions as `sb`'s slots. A node
 /// failure on a host is no slot failure: `None`.
 ///
-/// Links use the deterministic ShareBackup wiring: host link m on edge
-/// iface m; edge j ↔ agg (j+m)%k/2 on edge iface k/2+m / agg iface m; agg
-/// j ↔ core group u on agg iface k/2+u / core iface pod. The "up" side's
-/// interface is the faulty one, matching the Fig. 1 mapping.
+/// A link's lower end is the faulty one (the host-facing edge interface of
+/// a host link, the upward interface of a switch link), matching the Fig. 1
+/// mapping; [`ShareBackup::link_ends`] names the interfaces.
 pub fn sb_event(sb: &ShareBackup, net: &Network, failure: FailureKind) -> Option<SbEvent> {
     let l = match failure {
         FailureKind::Node(n) => return Some(SbEvent::NodeFail(sb.occupant(sb.node_slot(n)?))),
         FailureKind::Link(l) => net.link(l),
     };
-    let host_link = |host| SbEvent::HostLinkFail {
-        host,
-        switch_side: true,
-    };
-    // Order the switch ends lower layer first.
-    let (lo, hi) = match (sb.node_slot(l.a), sb.node_slot(l.b)) {
-        (Some(a), Some(b)) if a.group.kind <= b.group.kind => (a, b),
-        (Some(a), Some(b)) => (b, a),
-        (None, _) => return Some(host_link(l.a)),
-        (_, None) => return Some(host_link(l.b)),
-    };
-    let half = sb.k() / 2;
-    let (faulty, other) = match hi.group.kind {
-        GroupKind::Agg => {
-            let m = (hi.slot + half - lo.slot) % half;
-            (half + m, m)
-        }
-        GroupKind::Core => (half + hi.group.index, lo.group.index),
-        GroupKind::Edge => unreachable!("no fat-tree link joins two edge switches"),
-    };
-    Some(SbEvent::LinkFail {
-        faulty: (sb.occupant(lo), faulty),
-        other: (sb.occupant(hi), other),
+    let (lower, (upper, iface)) = sb.link_ends(sb.slots.net.link_between(l.a, l.b)?);
+    Some(match lower {
+        LinkEnd::Host(host) => SbEvent::HostLinkFail {
+            host,
+            switch_side: true,
+        },
+        LinkEnd::Iface(slot, faulty) => SbEvent::LinkFail {
+            faulty: (sb.occupant(slot), faulty),
+            other: (sb.occupant(upper), iface),
+        },
     })
 }
 

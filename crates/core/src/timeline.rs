@@ -205,30 +205,6 @@ impl World<Ev> for TimelineWorld {
     }
 }
 
-/// The circuit switches that must reconfigure to replace `slot`'s occupant.
-fn circuit_switches_for(ctl: &Controller, slot: SlotId) -> Vec<CsId> {
-    let k = ctl.sb.k();
-    let half = k / 2;
-    match slot.group.kind {
-        sharebackup_topo::GroupKind::Edge => {
-            let pod = slot.group.index;
-            (0..half)
-                .flat_map(|m| [CsId::HostEdge { pod, m }, CsId::EdgeAgg { pod, m }])
-                .collect()
-        }
-        sharebackup_topo::GroupKind::Agg => {
-            let pod = slot.group.index;
-            (0..half)
-                .flat_map(|m| [CsId::EdgeAgg { pod, m }, CsId::AggCore { pod, u: m }])
-                .collect()
-        }
-        sharebackup_topo::GroupKind::Core => {
-            let u = slot.group.index;
-            (0..k).map(|pod| CsId::AggCore { pod, u }).collect()
-        }
-    }
-}
-
 /// Play the full §4.1 recovery sequence for the failure of `slot`'s
 /// occupant at `die_at`, then apply the replacement to the topology.
 ///
@@ -287,7 +263,7 @@ pub fn simulate_recovery_with_blackout(
         .first()
         // lint:allow(unwrap) — callers hand in a freshly built fabric with n ≥ 1 spares
         .expect("a backup must be available");
-    let cs_ids = circuit_switches_for(ctl, slot);
+    let cs_ids = ctl.sb.slot_circuit_switches(slot);
     let detection = DetectionConfig {
         probe_interval: ctl.cfg.latency.probe_interval,
         miss_threshold: 1,

@@ -17,6 +17,9 @@
 //! * [`sharebackup`] — the ShareBackup physical architecture: a fat-tree
 //!   whose switch positions are *slots* occupied by physical switches, with
 //!   per-failure-group backup switches reachable through circuit switches.
+//!   Its wiring — interface numbering, the CS2 rotation, the circuit-switch
+//!   port layout — is decided there only ([`ShareBackup::peer`] and the
+//!   cabling in [`ShareBackup::build`]).
 //!
 //! The split between *slots* (logical fat-tree positions that routing and the
 //! data plane see) and *physical switches* (devices that can fail, be
@@ -38,4 +41,6 @@ pub use f10::F10Topology;
 pub use fattree::{FatTree, FatTreeConfig, HostAddr, PodType};
 pub use graph::{Network, NodeKind};
 pub use ids::{GroupId, GroupKind, LinkId, NodeId, PhysId, SlotId};
-pub use sharebackup::{CsId, DiagConfig, ReplaceReport, ShareBackup, ShareBackupConfig};
+pub use sharebackup::{
+    CsId, DiagConfig, LinkEnd, ReplaceReport, ShareBackup, ShareBackupConfig,
+};

@@ -26,13 +26,31 @@
 //! through 2 side ports; the offline failure-diagnosis procedure (paper §4.2,
 //! Fig. 4) uses the ring to connect a suspect interface to up to three test
 //! interfaces without touching the live network.
+//!
+//! # Where the wiring is decided
+//!
+//! Two statements in this module decide the whole physical layer, and
+//! nothing outside it repeats them:
+//!
+//! * the `attach` calls in [`ShareBackup::build`] — the cabling: which
+//!   circuit-switch port every switch interface, host NIC and side port is
+//!   cabled to, recorded as they are made in the index behind
+//!   [`ShareBackup::iface_attachment`];
+//! * [`ShareBackup::peer`] — the interface numbering and the CS2 rotation:
+//!   the far end of every interface of every slot.
+//!
+//! Everything else is derived from those two: the default circuits, the
+//! circuits a replacement sets up, the slot network's link state, the
+//! diagnosis partners, and the queries callers use instead of interface
+//! arithmetic ([`ShareBackup::link_ends`], [`ShareBackup::host_edge`],
+//! [`ShareBackup::slot_circuit_switches`], [`ShareBackup::iface_on`]).
 
 use std::collections::BTreeMap;
 
 use crate::circuit::{Attachment, CircuitSwitch, CircuitTech, CsPort};
 use crate::fattree::{FatTree, FatTreeConfig, HostAddr};
 use crate::graph::NodeKind;
-use crate::ids::{GroupId, GroupKind, NodeId, PhysId, SlotId};
+use crate::ids::{GroupId, GroupKind, LinkId, NodeId, PhysId, SlotId};
 
 /// Parameters of a ShareBackup network.
 ///
@@ -118,10 +136,8 @@ pub struct PhysSwitch {
     pub member: usize,
     /// Whether the switch itself is operational.
     pub healthy: bool,
-    /// Per-interface ground-truth fault state (`true` = broken). Interface
-    /// numbering: edge/agg switches use ports `0..k/2` downward (one per
-    /// circuit switch of the lower set) and `k/2..k` upward; core switches
-    /// use port `i` for pod `i`.
+    /// Per-interface ground-truth fault state (`true` = broken), indexed by
+    /// interface; [`ShareBackup::peer`] says what each interface faces.
     pub iface_broken: Vec<bool>,
 }
 
@@ -149,6 +165,49 @@ pub enum CsId {
         /// Core-group residue u in `[0, k/2)`.
         u: usize,
     },
+}
+
+impl CsId {
+    /// Ring position (m or u) of a circuit switch within its pod's layer.
+    fn ring_index(self) -> usize {
+        match self {
+            CsId::HostEdge { m, .. } | CsId::EdgeAgg { m, .. } => m,
+            CsId::AggCore { u, .. } => u,
+        }
+    }
+
+    /// The circuit switch at ring position `r` of the same pod and layer.
+    fn at_ring_index(self, r: usize) -> CsId {
+        match self {
+            CsId::HostEdge { pod, .. } => CsId::HostEdge { pod, m: r },
+            CsId::EdgeAgg { pod, .. } => CsId::EdgeAgg { pod, m: r },
+            CsId::AggCore { pod, .. } => CsId::AggCore { pod, u: r },
+        }
+    }
+}
+
+/// Every failure group in canonical order: each pod's edge and agg groups,
+/// then the core groups.
+fn group_order(k: usize) -> Vec<GroupId> {
+    let mut ids: Vec<GroupId> =
+        (0..k).flat_map(|pod| [GroupId::edge(pod), GroupId::agg(pod)]).collect();
+    ids.extend((0..k / 2).map(GroupId::core));
+    ids
+}
+
+/// The CS2 rotation (Fig. 3a): through `CS_{2,pod,m}`, edge `e` of a pod
+/// reaches agg `(e + m) mod k/2` of the same pod.
+pub fn cs2_agg(k: usize, e: usize, m: usize) -> usize {
+    (e + m) % (k / 2)
+}
+
+/// One end of a slot-network link.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum LinkEnd {
+    /// A host's NIC.
+    Host(NodeId),
+    /// Interface `.1` of whichever switch occupies slot `.0`.
+    Iface(SlotId, usize),
 }
 
 /// Result of one slot-replacement operation (paper §4.1).
@@ -183,12 +242,21 @@ pub struct ShareBackup {
     phys: Vec<PhysSwitch>,
     /// Group → member-index-ordered physical switches.
     groups: BTreeMap<GroupId, Vec<PhysId>>,
-    occupancy: BTreeMap<SlotId, PhysId>,
-    slot_of_phys: BTreeMap<PhysId, SlotId>,
-    node_slot: BTreeMap<NodeId, SlotId>,
-    cs1: Vec<CircuitSwitch>, // [pod * k/2 + m]
-    cs2: Vec<CircuitSwitch>, // [pod * k/2 + m]
-    cs3: Vec<CircuitSwitch>, // [pod * k/2 + u]
+    /// Occupant of each slot, by [`ShareBackup::slot_index`].
+    occupancy: Vec<PhysId>,
+    /// Slot of each physical switch, by id (`None` = spare).
+    slot_of_phys: Vec<Option<SlotId>>,
+    /// Slot of each slot-network node, by id (`None` = host).
+    node_slot: Vec<Option<SlotId>>,
+    /// Every circuit switch, in [`ShareBackup::circuit_switch_ids`] order.
+    cs: Vec<CircuitSwitch>,
+    /// Where interface `i` of switch `p` is cabled, at `[p·k + i]`.
+    iface_port: Vec<(CsId, CsPort)>,
+    /// Where each host's NIC is cabled, by global host index.
+    host_port: Vec<(CsId, CsPort)>,
+    /// Each slot-network link's ends by link id: the lower end (a host or a
+    /// lower-layer interface), then the upper interface.
+    links: Vec<(LinkEnd, (SlotId, usize))>,
     /// Host NICs with ground-truth faults.
     host_nic_broken: BTreeMap<NodeId, bool>,
 }
@@ -201,182 +269,174 @@ impl ShareBackup {
         let half = k / 2;
         let slots = FatTree::build(cfg.ft);
 
-        // --- Physical switch registry, group by group. ---
+        // --- Physical switch registry, group by group: members 0..k/2
+        // occupy the group's slots, the rest are its spares. ---
         let mut phys = Vec::new();
         let mut groups = BTreeMap::new();
-        let mut occupancy = BTreeMap::new();
-        let mut slot_of_phys = BTreeMap::new();
-        let mut make_group = |group: GroupId, phys: &mut Vec<PhysSwitch>| {
-            let ifaces = k; // every packet switch has k interfaces
-            let members: Vec<PhysId> = (0..cfg.group_size_for(group.kind))
+        let mut occupancy = Vec::new();
+        let mut slot_of_phys = Vec::new();
+        for g in group_order(k) {
+            let members: Vec<PhysId> = (0..cfg.group_size_for(g.kind))
                 .map(|member| {
                     let id = PhysId::from_index(phys.len());
                     phys.push(PhysSwitch {
-                        group,
+                        group: g,
                         member,
                         healthy: true,
-                        iface_broken: vec![false; ifaces],
+                        iface_broken: vec![false; k], // every packet switch has k interfaces
                     });
+                    slot_of_phys.push((member < half).then(|| g.slot(member)));
                     id
                 })
                 .collect();
-            for (j, &p) in members.iter().enumerate().take(half) {
-                occupancy.insert(group.slot(j), p);
-                slot_of_phys.insert(p, group.slot(j));
-            }
-            members
-        };
-        for pod in 0..k {
-            let g = GroupId::edge(pod);
-            let members = make_group(g, &mut phys);
-            groups.insert(g, members);
-            let g = GroupId::agg(pod);
-            let members = make_group(g, &mut phys);
-            groups.insert(g, members);
-        }
-        for u in 0..half {
-            let g = GroupId::core(u);
-            let members = make_group(g, &mut phys);
+            occupancy.extend_from_slice(&members[..half]);
             groups.insert(g, members);
         }
 
-        // --- Node → slot reverse map over the slot fat-tree. ---
-        let mut node_slot = BTreeMap::new();
-        for pod in 0..k {
-            for j in 0..half {
-                node_slot.insert(slots.edge(pod, j), GroupId::edge(pod).slot(j));
-                node_slot.insert(slots.agg(pod, j), GroupId::agg(pod).slot(j));
-            }
-        }
-        // Core group u, slot j: the core that agg j of every pod reaches on
-        // uplink u (the slot tree's standard striping is the same in all
-        // pods, so pod 0 stands for any).
-        for j in 0..half {
-            for u in 0..half {
-                node_slot.insert(slots.core(slots.core_of(0, j, u)), GroupId::core(u).slot(j));
-            }
-        }
-
-        // --- Circuit switches. Port layout (flat space):
-        //   [0, G)         north: group members (G = k/2 + n_north)
-        //   [G, G+2)       side ports (ring within the pod's layer)
-        //   [G+2, ...)     south: hosts / agg members / core-group members
-        // North sizes differ per layer under non-uniform backup pools.
-        let edge_size = cfg.group_size_for(GroupKind::Edge);
-        let agg_size = cfg.group_size_for(GroupKind::Agg);
-        let core_size = cfg.group_size_for(GroupKind::Core);
-
+        let unwired = (CsId::HostEdge { pod: 0, m: 0 }, CsPort(0));
         let mut sb = ShareBackup {
             cfg,
+            iface_port: vec![unwired; phys.len() * k],
+            host_port: vec![unwired; slots.hosts().len()],
+            links: Vec::new(),
+            node_slot: vec![None; slots.net.node_count()],
             slots,
             phys,
             groups,
             occupancy,
             slot_of_phys,
-            node_slot,
-            cs1: Vec::with_capacity(k * half),
-            cs2: Vec::with_capacity(k * half),
-            cs3: Vec::with_capacity(k * half),
+            cs: Vec::with_capacity(3 * k * half),
             host_nic_broken: BTreeMap::new(),
         };
 
+        // --- The cabling: every circuit-switch port, attached once. ---
         for pod in 0..k {
             for m in 0..half {
-                // CS_{1,pod,m}: north = edge group, south = host m of each edge.
-                let (side0, side1, south0) = (edge_size, edge_size + 1, edge_size + 2);
-                let mut cs = CircuitSwitch::new(sb.cfg.tech, south0 + half);
-                let edge_members = sb.groups[&GroupId::edge(pod)].clone();
-                for (w, &p) in edge_members.iter().enumerate() {
-                    cs.attach(CsPort(w), Attachment::Switch { switch: p, port: m });
-                }
-                cs.attach(
-                    CsPort(side0),
-                    Attachment::Side {
-                        cs: (m + half - 1) % half,
-                        port: CsPort(side1),
-                    },
-                );
-                cs.attach(
-                    CsPort(side1),
-                    Attachment::Side {
-                        cs: (m + 1) % half,
-                        port: CsPort(side0),
-                    },
-                );
+                // CS_{1,pod,m}: edge members' iface m | host m of every edge.
+                let id = CsId::HostEdge { pod, m };
+                let south = sb.add_circuit_switch(id, half);
+                sb.attach_group(id, 0, GroupId::edge(pod), m);
                 for j in 0..half {
-                    let host = sb.slots.host(HostAddr { pod, edge: j, host: m });
-                    cs.attach(CsPort(south0 + j), Attachment::Host(host));
+                    let host = HostAddr { pod, edge: j, host: m };
+                    let (port, node) = (CsPort(south + j), sb.slots.host(host));
+                    sb.circuit_switch_mut(id).attach(port, Attachment::Host(node));
+                    sb.host_port[host.to_index(k)] = (id, port);
                 }
-                sb.cs1.push(cs);
-
-                // CS_{2,pod,m}: north = edge group, south = agg group.
-                let mut cs = CircuitSwitch::new(sb.cfg.tech, south0 + agg_size);
-                for (w, &p) in edge_members.iter().enumerate() {
-                    cs.attach(
-                        CsPort(w),
-                        Attachment::Switch { switch: p, port: half + m },
-                    );
-                }
-                cs.attach(
-                    CsPort(side0),
-                    Attachment::Side { cs: (m + half - 1) % half, port: CsPort(side1) },
-                );
-                cs.attach(
-                    CsPort(side1),
-                    Attachment::Side { cs: (m + 1) % half, port: CsPort(side0) },
-                );
-                let agg_members = sb.groups[&GroupId::agg(pod)].clone();
-                for (w, &p) in agg_members.iter().enumerate() {
-                    cs.attach(
-                        CsPort(south0 + w),
-                        Attachment::Switch { switch: p, port: m },
-                    );
-                }
-                sb.cs2.push(cs);
-
-                // CS_{3,pod,u} with u = m: north = agg group, south = core group u.
-                let u = m;
-                let (side0, side1, south0) = (agg_size, agg_size + 1, agg_size + 2);
-                let mut cs = CircuitSwitch::new(sb.cfg.tech, south0 + core_size);
-                for (w, &p) in agg_members.iter().enumerate() {
-                    cs.attach(
-                        CsPort(w),
-                        Attachment::Switch { switch: p, port: half + u },
-                    );
-                }
-                cs.attach(
-                    CsPort(side0),
-                    Attachment::Side { cs: (u + half - 1) % half, port: CsPort(side1) },
-                );
-                cs.attach(
-                    CsPort(side1),
-                    Attachment::Side { cs: (u + 1) % half, port: CsPort(side0) },
-                );
-                let core_members = sb.groups[&GroupId::core(u)].clone();
-                for (w, &p) in core_members.iter().enumerate() {
-                    cs.attach(
-                        CsPort(south0 + w),
-                        Attachment::Switch { switch: p, port: pod },
-                    );
-                }
-                sb.cs3.push(cs);
+                // CS_{2,pod,m}: edge members' iface k/2+m | agg members' iface m.
+                let id = CsId::EdgeAgg { pod, m };
+                let south = sb.add_circuit_switch(id, sb.cfg.group_size_for(GroupKind::Agg));
+                sb.attach_group(id, 0, GroupId::edge(pod), half + m);
+                sb.attach_group(id, south, GroupId::agg(pod), m);
+                // CS_{3,pod,u} with u = m: agg members' iface k/2+u | core
+                // group u's members' iface pod.
+                let id = CsId::AggCore { pod, u: m };
+                let south = sb.add_circuit_switch(id, sb.cfg.group_size_for(GroupKind::Core));
+                sb.attach_group(id, 0, GroupId::agg(pod), half + m);
+                sb.attach_group(id, south, GroupId::core(m), pod);
             }
         }
 
-        // --- Default circuits: straight-through / rotational wiring. ---
-        for pod in 0..k {
+        // --- Node → slot map, and the slot-network links, each met at its
+        // upper end, with their default circuits. ---
+        let unset = (LinkEnd::Host(NodeId(0)), (GroupId::edge(0).slot(0), 0));
+        let mut links = vec![unset; sb.slots.net.link_count()];
+        for g in group_order(k) {
             for j in 0..half {
-                sb.reconnect_slot(GroupId::edge(pod).slot(j));
-                sb.reconnect_slot(GroupId::agg(pod).slot(j));
+                let slot = g.slot(j);
+                let node = sb.slot_node(slot);
+                sb.node_slot[node.index()] = Some(slot);
+                for iface in 0..k {
+                    let lower = sb.peer(slot, iface);
+                    let lower_node = match lower {
+                        LinkEnd::Host(h) => h,
+                        LinkEnd::Iface(s, _) if s.group.kind < g.kind => sb.slot_node(s),
+                        LinkEnd::Iface(..) => continue,
+                    };
+                    let l = sb
+                        .slots
+                        .net
+                        .link_between(lower_node, sb.slot_node(slot))
+                        // Slot-network links are created for every fat-tree
+                        // edge at build time; absence is a builder bug.
+                        // lint:allow(unwrap) — build-time structural invariant
+                        .expect("slot link must exist");
+                    let upper = LinkEnd::Iface(slot, iface);
+                    let (id, a) = sb.port(upper);
+                    let (_, b) = sb.port(lower);
+                    sb.circuit_switch_mut(id).connect(a, b);
+                    links[l.index()] = (lower, (slot, iface));
+                }
             }
         }
-        for u in 0..half {
-            for j in 0..half {
-                sb.reconnect_slot(GroupId::core(u).slot(j));
-            }
-        }
+        sb.links = links;
         sb.refresh_state();
         sb
+    }
+
+    /// Add circuit switch `id` with room for its north group's members on
+    /// ports `[0, G)`, the two side ports `G` and `G+1` that chain it into
+    /// its pod layer's ring, and `south` ports from `G+2`. Returns `G+2`.
+    fn add_circuit_switch(&mut self, id: CsId, south: usize) -> usize {
+        let half = self.half();
+        let (prev, next) = self.side_ports(id);
+        let mut cs = CircuitSwitch::new(self.cfg.tech, next.0 + 1 + south);
+        let r = id.ring_index();
+        cs.attach(prev, Attachment::Side { cs: (r + half - 1) % half, port: next });
+        cs.attach(next, Attachment::Side { cs: (r + 1) % half, port: prev });
+        debug_assert_eq!(self.cs.len(), self.cs_index(id));
+        self.cs.push(cs);
+        next.0 + 1
+    }
+
+    /// Cable interface `iface` of every member `w` of group `g` to port
+    /// `first + w` of circuit switch `id`.
+    fn attach_group(&mut self, id: CsId, first: usize, g: GroupId, iface: usize) {
+        let k = self.k();
+        let at = self.cs_index(id);
+        for (w, &p) in self.groups[&g].iter().enumerate() {
+            let port = CsPort(first + w);
+            self.cs[at].attach(port, Attachment::Switch { switch: p, port: iface });
+            self.iface_port[p.index() * k + iface] = (id, port);
+        }
+    }
+
+    /// The far end of interface `iface` of whichever switch occupies `slot`
+    /// — the one statement of the interface numbering and the CS2 rotation:
+    ///
+    /// * edge j of pod i: iface m < k/2 faces host m (via `CS_{1,i,m}`);
+    ///   iface k/2+m faces agg (j+m) mod k/2's iface m (via `CS_{2,i,m}`);
+    /// * agg j of pod i: iface m < k/2 is the far end of that rotation;
+    ///   iface k/2+u faces core group u's slot j, iface i (via `CS_{3,i,u}`);
+    /// * core group u, slot j: iface i faces agg j of pod i.
+    ///
+    /// Every member of a group is cabled alike, so the answer depends on
+    /// the slot only, never on which member occupies it.
+    pub fn peer(&self, slot: SlotId, iface: usize) -> LinkEnd {
+        let half = self.half();
+        let j = slot.slot;
+        match (slot.group.kind, slot.group.index) {
+            (GroupKind::Edge, pod) if iface < half => {
+                LinkEnd::Host(self.slots.host(HostAddr { pod, edge: j, host: iface }))
+            }
+            (GroupKind::Edge, pod) => {
+                let m = iface - half;
+                LinkEnd::Iface(GroupId::agg(pod).slot(cs2_agg(self.k(), j, m)), m)
+            }
+            // The inverse rotation: the edge e with cs2_agg(e, iface) = j.
+            (GroupKind::Agg, pod) if iface < half => {
+                LinkEnd::Iface(GroupId::edge(pod).slot((j + half - iface) % half), half + iface)
+            }
+            (GroupKind::Agg, pod) => LinkEnd::Iface(GroupId::core(iface - half).slot(j), pod),
+            (GroupKind::Core, u) => LinkEnd::Iface(GroupId::agg(iface).slot(j), half + u),
+        }
+    }
+
+    /// The circuit switch and port a link end is cabled to.
+    fn port(&self, end: LinkEnd) -> (CsId, CsPort) {
+        match end {
+            LinkEnd::Host(h) => self.host_port[self.slots.net.node(h).index],
+            LinkEnd::Iface(slot, iface) => self.iface_attachment(self.occupant(slot), iface),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -394,26 +454,27 @@ impl ShareBackup {
 
     /// Number of circuit switches in the network (`3·k·k/2 = 3k²/2`).
     pub fn circuit_switch_count(&self) -> usize {
-        self.cs1.len() + self.cs2.len() + self.cs3.len()
+        self.cs.len()
+    }
+
+    /// Position of `id` in [`ShareBackup::circuit_switch_ids`] order.
+    fn cs_index(&self, id: CsId) -> usize {
+        let (pod, layer) = match id {
+            CsId::HostEdge { pod, .. } => (pod, 0),
+            CsId::EdgeAgg { pod, .. } => (pod, 1),
+            CsId::AggCore { pod, .. } => (pod, 2),
+        };
+        3 * (pod * self.half() + id.ring_index()) + layer
     }
 
     /// Access a circuit switch.
     pub fn circuit_switch(&self, id: CsId) -> &CircuitSwitch {
-        let half = self.half();
-        match id {
-            CsId::HostEdge { pod, m } => &self.cs1[pod * half + m],
-            CsId::EdgeAgg { pod, m } => &self.cs2[pod * half + m],
-            CsId::AggCore { pod, u } => &self.cs3[pod * half + u],
-        }
+        &self.cs[self.cs_index(id)]
     }
 
     fn circuit_switch_mut(&mut self, id: CsId) -> &mut CircuitSwitch {
-        let half = self.half();
-        match id {
-            CsId::HostEdge { pod, m } => &mut self.cs1[pod * half + m],
-            CsId::EdgeAgg { pod, m } => &mut self.cs2[pod * half + m],
-            CsId::AggCore { pod, u } => &mut self.cs3[pod * half + u],
-        }
+        let at = self.cs_index(id);
+        &mut self.cs[at]
     }
 
     /// All circuit-switch ids.
@@ -448,27 +509,28 @@ impl ShareBackup {
 
     /// All failure groups, in a canonical deterministic order.
     pub fn group_ids(&self) -> Vec<GroupId> {
-        let k = self.k();
-        let half = self.half();
-        let mut ids = Vec::with_capacity(2 * k + half);
-        for pod in 0..k {
-            ids.push(GroupId::edge(pod));
-            ids.push(GroupId::agg(pod));
-        }
-        for u in 0..half {
-            ids.push(GroupId::core(u));
-        }
-        ids
+        group_order(self.k())
+    }
+
+    /// Dense index of `slot`: group by group in [`ShareBackup::group_ids`]
+    /// order, k/2 slots each.
+    fn slot_index(&self, slot: SlotId) -> usize {
+        let group = match slot.group.kind {
+            GroupKind::Edge => 2 * slot.group.index,
+            GroupKind::Agg => 2 * slot.group.index + 1,
+            GroupKind::Core => 2 * self.k() + slot.group.index,
+        };
+        group * self.half() + slot.slot
     }
 
     /// The physical switch currently occupying `slot`.
     pub fn occupant(&self, slot: SlotId) -> PhysId {
-        self.occupancy[&slot]
+        self.occupancy[self.slot_index(slot)]
     }
 
     /// The slot occupied by `p`, if any (`None` = spare).
     pub fn slot_of(&self, p: PhysId) -> Option<SlotId> {
-        self.slot_of_phys.get(&p).copied()
+        self.slot_of_phys[p.index()]
     }
 
     /// Healthy, non-occupying members of a group — the available backups.
@@ -480,7 +542,9 @@ impl ShareBackup {
             .collect()
     }
 
-    /// The slot-network node for a slot.
+    /// The slot-network node for a slot. Core group u's slot j is the core
+    /// that agg j of every pod reaches on uplink u (the slot tree's standard
+    /// striping is the same in all pods, so pod 0 stands for any).
     pub fn slot_node(&self, slot: SlotId) -> NodeId {
         match slot.group.kind {
             GroupKind::Edge => self.slots.edge(slot.group.index, slot.slot),
@@ -493,7 +557,29 @@ impl ShareBackup {
 
     /// The slot a slot-network switch node corresponds to.
     pub fn node_slot(&self, n: NodeId) -> Option<SlotId> {
-        self.node_slot.get(&n).copied()
+        self.node_slot[n.index()]
+    }
+
+    /// The two ends of slot-network link `l`: the lower end (a host NIC,
+    /// or the upward-facing interface of an edge or agg slot), then the
+    /// upper end's `(slot, interface)`.
+    pub fn link_ends(&self, l: LinkId) -> (LinkEnd, (SlotId, usize)) {
+        self.links[l.index()]
+    }
+
+    /// The edge slot `host` hangs off, and the interface of that slot's
+    /// switch that faces the host.
+    pub fn host_edge(&self, host: NodeId) -> (SlotId, usize) {
+        self.link_ends(self.slots.net.incident(host)[0]).1
+    }
+
+    /// The circuit switches replacing `slot`'s occupant reconfigures: one
+    /// per interface, in [`ShareBackup::circuit_switch_ids`] order.
+    pub fn slot_circuit_switches(&self, slot: SlotId) -> Vec<CsId> {
+        let p = self.occupant(slot);
+        let mut ids: Vec<CsId> = (0..self.k()).map(|i| self.iface_attachment(p, i).0).collect();
+        ids.sort_unstable_by_key(|&id| self.cs_index(id));
+        ids
     }
 
     // ------------------------------------------------------------------
@@ -558,74 +644,29 @@ impl ShareBackup {
             self.slot_of(replacement).is_none(),
             "{replacement:?} already occupies a slot"
         );
-        let old = self.occupancy[&slot];
-        self.slot_of_phys.remove(&old);
-        self.occupancy.insert(slot, replacement);
-        self.slot_of_phys.insert(replacement, slot);
+        let at = self.slot_index(slot);
+        self.slot_of_phys[self.occupancy[at].index()] = None;
+        self.occupancy[at] = replacement;
+        self.slot_of_phys[replacement.index()] = Some(slot);
         let report = self.reconnect_slot(slot);
         self.refresh_state();
         report
     }
 
-    /// (Re)establish the circuits that realize `slot`'s links, pointing them
-    /// at the current occupant. Returns how many circuit switches were
-    /// touched and how many circuit operations were needed.
+    /// (Re)establish the circuits that realize `slot`'s links: connect each
+    /// interface of the current occupant to its peer's port. Returns how
+    /// many circuit switches were touched and how many circuit operations
+    /// were needed.
     fn reconnect_slot(&mut self, slot: SlotId) -> ReplaceReport {
-        let half = self.half();
-        // South-port offsets depend on the north group's size (per-layer
-        // under non-uniform backup pools): CS1/CS2 are north-edged, CS3 is
-        // north-agged.
-        let south0_12 = self.cfg.group_size_for(GroupKind::Edge) + 2;
-        let south0_3 = self.cfg.group_size_for(GroupKind::Agg) + 2;
-        let occ = self.occupancy[&slot];
-        let w = self.phys(occ).member;
-        let mut touched = 0;
         let mut ops = 0;
-        match slot.group.kind {
-            GroupKind::Edge => {
-                let pod = slot.group.index;
-                let j = slot.slot;
-                for m in 0..half {
-                    // CS1: occupant's north port ↔ host j.
-                    ops += self.cs1[pod * half + m].connect(CsPort(w), CsPort(south0_12 + j));
-                    touched += 1;
-                    // CS2: occupant ↔ member occupying agg slot (j+m) % k/2.
-                    let agg_slot = GroupId::agg(pod).slot((j + m) % half);
-                    let aw = self.phys(self.occupancy[&agg_slot]).member;
-                    ops += self.cs2[pod * half + m].connect(CsPort(w), CsPort(south0_12 + aw));
-                    touched += 1;
-                }
-            }
-            GroupKind::Agg => {
-                let pod = slot.group.index;
-                let a = slot.slot;
-                for m in 0..half {
-                    // CS2: edge slot (a-m) mod k/2 ↔ occupant (south side).
-                    let edge_slot = GroupId::edge(pod).slot((a + half - m) % half);
-                    let ew = self.phys(self.occupancy[&edge_slot]).member;
-                    ops += self.cs2[pod * half + m].connect(CsPort(ew), CsPort(south0_12 + w));
-                    touched += 1;
-                    // CS3 (u = m): occupant (north) ↔ core-group-u slot a.
-                    let core_slot = GroupId::core(m).slot(a);
-                    let cw = self.phys(self.occupancy[&core_slot]).member;
-                    ops += self.cs3[pod * half + m].connect(CsPort(w), CsPort(south0_3 + cw));
-                    touched += 1;
-                }
-            }
-            GroupKind::Core => {
-                let u = slot.group.index;
-                let j = slot.slot;
-                for pod in 0..self.k() {
-                    // CS3 in every pod: agg slot j (north) ↔ occupant (south).
-                    let agg_slot = GroupId::agg(pod).slot(j);
-                    let aw = self.phys(self.occupancy[&agg_slot]).member;
-                    ops += self.cs3[pod * half + u].connect(CsPort(aw), CsPort(south0_3 + w));
-                    touched += 1;
-                }
-            }
+        let k = self.k();
+        for iface in 0..k {
+            let (id, a) = self.port(LinkEnd::Iface(slot, iface));
+            let (_, b) = self.port(self.peer(slot, iface));
+            ops += self.circuit_switch_mut(id).connect(a, b);
         }
         ReplaceReport {
-            circuit_switches_touched: touched,
+            circuit_switches_touched: k,
             circuit_ops: ops,
         }
     }
@@ -638,62 +679,30 @@ impl ShareBackup {
     /// truth: occupant health, broken interfaces, host NICs, and circuit
     /// switch health.
     pub fn refresh_state(&mut self) {
-        let k = self.k();
-        let half = self.half();
         // Slot nodes: up iff occupant healthy.
-        let slot_states: Vec<(NodeId, bool)> = self
-            .occupancy
-            .iter()
-            .map(|(&slot, &p)| (self.slot_node(slot), self.phys(p).healthy))
-            .collect();
-        for (node, up) in slot_states {
-            self.slots.net.set_node_up(node, up);
-        }
-        // Links.
-        let mut updates: Vec<(NodeId, NodeId, bool)> = Vec::new();
-        for pod in 0..k {
-            for j in 0..half {
-                let edge_occ = self.occupancy[&GroupId::edge(pod).slot(j)];
-                for m in 0..half {
-                    // Host link: host(pod, j, m) ↔ edge slot j via CS1[pod][m].
-                    let host = self.slots.host(HostAddr { pod, edge: j, host: m });
-                    let up = self.cs1[pod * half + m].is_up()
-                        && !self.iface_broken(edge_occ, m)
-                        && !self.host_nic_broken.get(&host).copied().unwrap_or(false);
-                    updates.push((host, self.slots.edge(pod, j), up));
-                    // Edge j ↔ agg (j+m)%half via CS2[pod][m].
-                    let a = (j + m) % half;
-                    let agg_occ = self.occupancy[&GroupId::agg(pod).slot(a)];
-                    let up = self.cs2[pod * half + m].is_up()
-                        && !self.iface_broken(edge_occ, half + m)
-                        && !self.iface_broken(agg_occ, m);
-                    updates.push((self.slots.edge(pod, j), self.slots.agg(pod, a), up));
-                }
-                // Agg j's uplink u ↔ its core via CS3[pod][u].
-                let agg_occ = self.occupancy[&GroupId::agg(pod).slot(j)];
-                for u in 0..half {
-                    let core_occ = self.occupancy[&GroupId::core(u).slot(j)];
-                    let up = self.cs3[pod * half + u].is_up()
-                        && !self.iface_broken(agg_occ, half + u)
-                        && !self.iface_broken(core_occ, pod);
-                    updates.push((
-                        self.slots.agg(pod, j),
-                        self.slots.core(self.slots.core_of(pod, j, u)),
-                        up,
-                    ));
-                }
+        for (p, slot) in self.slot_of_phys.iter().enumerate() {
+            if let Some(slot) = *slot {
+                let node = self.slot_node(slot);
+                self.slots.net.set_node_up(node, self.phys[p].healthy);
             }
         }
-        for (a, b, up) in updates {
-            let l = self
-                .slots
-                .net
-                .link_between(a, b)
-                // Slot-network links are created for every fat-tree edge at
-                // build time; absence is a builder bug, not a runtime state.
-                // lint:allow(unwrap) — build-time structural invariant
-                .expect("slot link must exist");
-            self.slots.net.set_link_up(l, up);
+        // Links: up iff the circuit switch is up and both ends are healthy.
+        let links_up: Vec<bool> = self
+            .links
+            .iter()
+            .map(|&(lower, (slot, iface))| {
+                let p = self.occupant(slot);
+                let lower_ok = match lower {
+                    LinkEnd::Host(h) => !self.host_nic_broken.get(&h).copied().unwrap_or(false),
+                    LinkEnd::Iface(s, i) => !self.iface_broken(self.occupant(s), i),
+                };
+                lower_ok
+                    && !self.iface_broken(p, iface)
+                    && self.circuit_switch(self.iface_attachment(p, iface).0).is_up()
+            })
+            .collect();
+        for (i, up) in links_up.into_iter().enumerate() {
+            self.slots.net.set_link_up(LinkId::from_index(i), up);
         }
         // Every reconfiguration and fault-state change funnels through here,
         // so this one hook re-verifies the structure after each transition.
@@ -775,13 +784,14 @@ impl ShareBackup {
             );
         }
         // Global view: the two occupancy maps are inverse bijections.
-        assert_eq!(self.occupancy.len(), self.slot_of_phys.len());
-        for (&slot, &p) in &self.occupancy {
-            assert_eq!(
-                self.slot_of_phys.get(&p),
-                Some(&slot),
-                "slot_of_phys is not the inverse of occupancy at {slot:?}"
-            );
+        for g in self.group_ids() {
+            for slot in (0..half).map(|j| g.slot(j)) {
+                assert_eq!(
+                    self.slot_of(self.occupant(slot)),
+                    Some(slot),
+                    "slot_of_phys is not the inverse of occupancy at {slot:?}"
+                );
+            }
         }
     }
 
@@ -832,26 +842,26 @@ impl ShareBackup {
     /// would involve a host (hosts are actively in use — paper §4.2); the
     /// returned configurations only ever involve offline switches.
     pub fn diagnosis_configs(&self, p: PhysId, iface: usize) -> Vec<DiagConfig> {
-        let half = self.half();
         let mut configs = Vec::new();
-        let me = self.phys(p);
-        // Partner 1: a spare member of the *opposite* side group on the same
-        // circuit switch (crossbar can connect north↔south directly).
-        if let Some(other_group) = self.opposite_group(me.group, iface) {
-            let spares = self.spares(other_group);
-            if let Some(&partner) = spares.first() {
-                let partner_iface = self.opposite_iface(me.group, iface);
+        // Partner 1: a spare member of the group on the other side of the
+        // same circuit switch, on the interface the peer uses (crossbar can
+        // connect north↔south directly). Every member of a group is cabled
+        // alike, so slot 0 of the suspect's group stands for the suspect.
+        if let LinkEnd::Iface(far, far_iface) = self.peer(self.phys(p).group.slot(0), iface) {
+            if let Some(&partner) = self.spares(far.group).first() {
                 configs.push(DiagConfig {
-                    partner: (partner, partner_iface),
+                    partner: (partner, far_iface),
                     side_hops: 0,
                 });
             }
         }
         // Partners 2 and 3: the suspect switch's own interface on the ring
         // neighbors of this circuit switch (Fig. 4's chained configurations).
-        for delta in [half - 1, 1] {
-            let neighbor = self.neighbor_iface(me.group, iface, delta);
-            if let Some(other) = neighbor {
+        // A core switch has no interface on its ring neighbors, which carry
+        // other core groups.
+        let (cs, _) = self.iface_attachment(p, iface);
+        for (_, neighbor, _) in self.ring_neighbors(cs) {
+            if let Some(other) = self.iface_on(p, neighbor) {
                 configs.push(DiagConfig {
                     partner: (p, other),
                     side_hops: 1,
@@ -865,99 +875,18 @@ impl ShareBackup {
         configs
     }
 
-    /// The group on the other side of the circuit switch that `iface` of a
-    /// switch in `group` attaches to, if that side holds packet switches.
-    fn opposite_group(&self, group: GroupId, iface: usize) -> Option<GroupId> {
-        let half = self.half();
-        match group.kind {
-            GroupKind::Edge => {
-                if iface < half {
-                    None // host side: no offline diagnosis against hosts
-                } else {
-                    Some(GroupId::agg(group.index))
-                }
-            }
-            GroupKind::Agg => {
-                if iface < half {
-                    Some(GroupId::edge(group.index))
-                } else {
-                    Some(GroupId::core(iface - half))
-                }
-            }
-            // Core iface = pod index; other side is that pod's agg group.
-            GroupKind::Core => Some(GroupId::agg(iface)),
-        }
-    }
-
-    /// Interface index the opposite-side partner uses on the same circuit
-    /// switch.
-    fn opposite_iface(&self, group: GroupId, iface: usize) -> usize {
-        let half = self.half();
-        match group.kind {
-            GroupKind::Edge => iface - half, // CS2[m]: agg's down-port m
-            GroupKind::Agg => {
-                if iface < half {
-                    half + iface // CS2[m]: edge's up-port m
-                } else {
-                    group.index // CS3: core's pod port
-                }
-            }
-            GroupKind::Core => half + group.index, // CS3[u]: agg's up-port u
-        }
-    }
-
-    /// The suspect switch's own interface attached to the ring neighbor
-    /// (`delta` positions away) of the circuit switch holding `iface`.
-    fn neighbor_iface(&self, group: GroupId, iface: usize, delta: usize) -> Option<usize> {
-        let half = self.half();
-        match group.kind {
-            GroupKind::Edge | GroupKind::Agg => {
-                if iface < half {
-                    Some((iface + delta) % half)
-                } else {
-                    Some(half + (iface - half + delta) % half)
-                }
-            }
-            // Core-layer rings run across u within a pod; a core switch has
-            // exactly one interface per pod, attached to CS_{3,pod,u} for its
-            // own u — its ring neighbors carry other groups' cores, where the
-            // suspect has no port. No own-interface neighbor test.
-            GroupKind::Core => None,
-        }
-    }
-
     /// The circuit switch and port where interface `iface` of `p` attaches.
     pub fn iface_attachment(&self, p: PhysId, iface: usize) -> (CsId, CsPort) {
-        let half = self.half();
-        let me = self.phys(p);
-        let w = me.member;
-        match me.group.kind {
-            GroupKind::Edge => {
-                let pod = me.group.index;
-                if iface < half {
-                    (CsId::HostEdge { pod, m: iface }, CsPort(w))
-                } else {
-                    (CsId::EdgeAgg { pod, m: iface - half }, CsPort(w))
-                }
-            }
-            GroupKind::Agg => {
-                let pod = me.group.index;
-                if iface < half {
-                    let south0 = self.cfg.group_size_for(GroupKind::Edge) + 2;
-                    (CsId::EdgeAgg { pod, m: iface }, CsPort(south0 + w))
-                } else {
-                    (CsId::AggCore { pod, u: iface - half }, CsPort(w))
-                }
-            }
-            GroupKind::Core => {
-                let south0 = self.cfg.group_size_for(GroupKind::Agg) + 2;
-                (CsId::AggCore { pod: iface, u: me.group.index }, CsPort(south0 + w))
-            }
-        }
+        self.iface_port[p.index() * self.k() + iface]
+    }
+
+    /// The interface of `p` cabled to circuit switch `cs`, if any.
+    pub fn iface_on(&self, p: PhysId, cs: CsId) -> Option<usize> {
+        (0..self.k()).find(|&i| self.iface_attachment(p, i).0 == cs)
     }
 
     /// Side-port indices (toward ring-previous, toward ring-next) of a
-    /// circuit switch.
+    /// circuit switch: right after its north group's ports.
     fn side_ports(&self, cs: CsId) -> (CsPort, CsPort) {
         let north = match cs {
             CsId::HostEdge { .. } | CsId::EdgeAgg { .. } => {
@@ -968,12 +897,14 @@ impl ShareBackup {
         (CsPort(north), CsPort(north + 1))
     }
 
-    /// Ring position (m or u) of a circuit switch within its pod's layer.
-    fn ring_index(&self, cs: CsId) -> usize {
-        match cs {
-            CsId::HostEdge { m, .. } | CsId::EdgeAgg { m, .. } => m,
-            CsId::AggCore { u, .. } => u,
-        }
+    /// The ring-previous and ring-next neighbors of `cs`, as read off its
+    /// side-port cables: `(own side port, neighbor, neighbor's side port)`.
+    fn ring_neighbors(&self, cs: CsId) -> [(CsPort, CsId, CsPort); 2] {
+        let (prev, next) = self.side_ports(cs);
+        [prev, next].map(|port| match self.circuit_switch(cs).attachment(port) {
+            Attachment::Side { cs: r, port: far } => (port, cs.at_ring_index(r), far),
+            other => unreachable!("side port {port:?} of {cs:?} holds {other:?}"),
+        })
     }
 
     /// Physically execute one offline-diagnosis test (paper §4.2, Fig. 4):
@@ -1015,17 +946,9 @@ impl ShareBackup {
         } else {
             // Ring neighbors: route through the side-port pair facing each
             // other. With a ring of size k/2, +1 and -1 can coincide (k=4);
-            // pick the side pair by which neighbor cs_b actually is.
-            let half = self.half();
-            let (a_prev, a_next) = self.side_ports(cs_a);
-            let (b_prev, b_next) = self.side_ports(cs_b);
-            let ma = self.ring_index(cs_a);
-            let mb = self.ring_index(cs_b);
-            let (sa, sb) = if (ma + 1) % half == mb {
-                (a_next, b_prev) // cs_b is the next ring member
-            } else if (mb + 1) % half == ma {
-                (a_prev, b_next) // cs_b is the previous ring member
-            } else {
+            // the ring-next cable is then the one used.
+            let [prev, next] = self.ring_neighbors(cs_a);
+            let Some((sa, _, sb)) = [next, prev].into_iter().find(|&(_, n, _)| n == cs_b) else {
                 return None; // not adjacent on the ring
             };
             if self.circuit_switch(cs_a).mate(sa).is_some()

@@ -9,7 +9,7 @@
 use sharebackup::core::{Controller, ControllerConfig};
 use sharebackup::flowsim::properties::total_usable_capacity;
 use sharebackup::sim::{Duration, SimRng, Time};
-use sharebackup::topo::{GroupKind, ShareBackup, ShareBackupConfig};
+use sharebackup::topo::{CsId, GroupKind, LinkEnd, ShareBackup, ShareBackupConfig};
 
 fn main() {
     let k = 8;
@@ -54,26 +54,18 @@ fn main() {
             controller.sb.set_phys_healthy(victim, false);
             controller.handle_node_failure(victim, now)
         } else {
-            // Break one fabric-facing interface and its far end.
-            let half = k / 2;
-            let (iface, other) = match group.kind {
-                GroupKind::Edge => {
-                    let m = rng.range(0..half);
-                    let agg_slot = sharebackup::topo::GroupId::agg(group.index)
-                        .slot((slot.slot + m) % half);
-                    (half + m, (controller.sb.occupant(agg_slot), m))
-                }
-                GroupKind::Agg => {
-                    let u = rng.range(0..half);
-                    let core_slot = sharebackup::topo::GroupId::core(u).slot(slot.slot);
-                    (half + u, (controller.sb.occupant(core_slot), group.index))
-                }
-                GroupKind::Core => {
-                    let pod = rng.range(0..k);
-                    let agg_slot = sharebackup::topo::GroupId::agg(pod).slot(slot.slot);
-                    (pod, (controller.sb.occupant(agg_slot), half + group.index))
-                }
+            // Break one fabric-facing interface — an uplink of an edge or
+            // agg switch, any interface of a core — and its far end.
+            let cs = match group.kind {
+                GroupKind::Edge => CsId::EdgeAgg { pod: group.index, m: rng.range(0..k / 2) },
+                GroupKind::Agg => CsId::AggCore { pod: group.index, u: rng.range(0..k / 2) },
+                GroupKind::Core => CsId::AggCore { pod: rng.range(0..k), u: group.index },
             };
+            let iface = controller.sb.iface_on(victim, cs).expect("cabled to its CS");
+            let LinkEnd::Iface(far_slot, far_iface) = controller.sb.peer(slot, iface) else {
+                unreachable!("fabric interfaces face switches");
+            };
+            let other = (controller.sb.occupant(far_slot), far_iface);
             controller.sb.set_iface_broken(victim, iface, true);
             controller.handle_link_failure((victim, iface), other, now)
         };

@@ -7,21 +7,21 @@
 
 use sharebackup::core::{diagnose, Controller, ControllerConfig, Verdict};
 use sharebackup::sim::Time;
-use sharebackup::topo::{GroupId, ShareBackup, ShareBackupConfig};
+use sharebackup::topo::{LinkEnd, ShareBackup, ShareBackupConfig};
 
 fn main() {
     let k = 6;
     let sb = ShareBackup::build(ShareBackupConfig::new(k, 1));
     let mut controller = Controller::new(sb, ControllerConfig::default());
-    let half = k / 2;
 
     // The link edge(0,0) <-> agg(0,0): the edge-side transceiver dies.
-    let edge_slot = GroupId::edge(0).slot(0);
-    let agg_slot = GroupId::agg(0).slot(0);
-    let edge = controller.sb.occupant(edge_slot);
-    let agg = controller.sb.occupant(agg_slot);
-    let edge_iface = half; // edge up-port 0 (via CS_{2,0,0})
-    let agg_iface = 0; // agg down-port 0 (same circuit switch)
+    let sb = &controller.sb;
+    let link = sb.slots.net.link_between(sb.slots.edge(0, 0), sb.slots.agg(0, 0)).expect("link");
+    let (LinkEnd::Iface(edge_slot, edge_iface), (agg_slot, agg_iface)) = sb.link_ends(link) else {
+        unreachable!("an edge-agg link has switches at both ends");
+    };
+    let edge = sb.occupant(edge_slot);
+    let agg = sb.occupant(agg_slot);
     controller.sb.set_iface_broken(edge, edge_iface, true);
     println!("link E(0,0)<->A(0,0) fails; ground truth: {edge:?} iface {edge_iface} is broken");
     println!("(the controller does not know which side — yet)\n");
