@@ -8,7 +8,7 @@
 //! events and recovery span tree onto its own chrome-trace track.
 
 use sharebackup_bench::{indexed_traces, traced, write_trace_files, Args};
-use sharebackup_core::{simulate_recovery_traced, Controller, ControllerConfig};
+use sharebackup_core::{simulate_recovery, Controller, ControllerConfig};
 use sharebackup_sim::{Duration, Time};
 use sharebackup_topo::{CircuitTech, GroupId, ShareBackup, ShareBackupConfig};
 
@@ -31,11 +31,12 @@ fn main() {
             let sb = ShareBackup::build(ShareBackupConfig::new(k, 1).with_tech(tech));
             let mut ctl = Controller::new(sb, ControllerConfig::default());
             let (tl, buf) = traced(args.trace_out.is_some(), |tracer| {
-                simulate_recovery_traced(
+                simulate_recovery(
                     &mut ctl,
                     slot,
                     Time::from_millis(5),
                     Duration::from_micros(321),
+                    Time::ZERO,
                     tracer,
                 )
             });

@@ -39,6 +39,7 @@ use sharebackup_topo::{CsId, NodeId, PhysId, ShareBackup, SlotId};
 use crate::chaos::ChaosConfig;
 use crate::diagnosis::{diagnose, DiagnosisReport, Verdict};
 use crate::latency::{RecoveryLatencyModel, RecoveryScheme};
+use crate::timeline::record_recovery_spans;
 
 /// Controller tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -397,16 +398,13 @@ impl Controller {
         // firing at t=0), Time − Duration saturates at zero and only the
         // backdated boundaries compress; `now` itself is always honored.
         let fail_t = now - (detection + diagnosis + reconfiguration);
-        let t = &self.tracer;
-        t.span_begin(fail_t, "recovery", "recovery");
-        t.span_begin(fail_t, "recovery", "detection");
-        t.span_end(fail_t + detection);
-        t.span_begin(fail_t + detection, "recovery", "diagnosis");
-        t.span_end(fail_t + detection + diagnosis);
-        t.span_begin(fail_t + detection + diagnosis, "recovery", "reconfiguration");
-        t.span_end(now);
-        t.instant(now, "recovery", "restored");
-        t.span_end(now);
+        record_recovery_spans(
+            &self.tracer,
+            fail_t,
+            fail_t + detection,
+            fail_t + detection + diagnosis,
+            now,
+        );
     }
 
     /// Record one fallback (slot left unrecovered) with its cause already

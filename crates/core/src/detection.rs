@@ -12,11 +12,22 @@
 //!   engine; a switch that misses probes from a neighbor reports the link
 //!   to the controller.
 //!
-//! This module simulates the keep-alive machinery precisely — staggered
-//! probe phases, death at an arbitrary instant, a scan loop at the
-//! controller — and yields the detection-latency distribution that the
-//! closed-form [`crate::latency::RecoveryLatencyModel`] summarizes with its
-//! worst-case `probe_interval` term.
+//! This module holds the one keep-alive rule every detector in the
+//! workspace shares: a device keep-alives every probe interval, and a
+//! scanner declares it dead at its first tick, at or after a not-before
+//! instant, that sees silence longer than
+//! [`DetectionConfig::silence_limit`] after the death. `Watch` plays that
+//! rule on the discrete-event engine — a staggered keep-alive phase, one or
+//! more scanner phases, death at an arbitrary instant — and reports which
+//! scanner fired and when. [`simulate_detection`] runs it with one scanner
+//! (the controller watching a switch), [`crate::failover::simulate_election`]
+//! with one scanner per follower (the replicas watching the primary), and
+//! [`crate::timeline`] embeds it as the first stage of a recovery.
+//!
+//! The closed-form [`crate::latency::RecoveryLatencyModel`] charges one
+//! `probe_interval` for detection: the **mean** latency at
+//! `miss_threshold` 1. The worst case is [`DetectionConfig::worst_case`],
+//! two intervals at `miss_threshold` 1.
 
 use sharebackup_sim::{Duration, Engine, SimRng, Time, World};
 
@@ -60,8 +71,8 @@ impl DetectionConfig {
     /// by up to one full period.
     ///
     /// The bound is tight: with the keep-alive and scan phases equal and
-    /// death exactly at a keep-alive instant, the simulated latency equals
-    /// this value (see the `worst_case_bound_is_tight_and_alignment_term_is_load_bearing`
+    /// death one clock tick after a keep-alive, the simulated latency comes
+    /// within that tick of this value (see the `worst_case_bound_is_tight_and_alignment_term_is_load_bearing`
     /// test, which also proves dropping the alignment term makes the bound
     /// wrong).
     pub fn worst_case(&self) -> Duration {
@@ -69,48 +80,151 @@ impl DetectionConfig {
     }
 }
 
-enum Ev {
-    /// The monitored switch emits a keep-alive (if still alive).
+/// The engine events of a [`Watch`]. An embedding simulation wraps them in
+/// its own event type through `From<WatchEv>`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum WatchEv {
+    /// The watched device emits a keep-alive (if still alive).
     KeepAlive,
-    /// The switch dies.
+    /// Scanner `i`'s tick.
+    Scan(usize),
+    /// The watched device dies.
     Die,
-    /// The controller's scan tick.
-    Scan,
 }
 
-struct DetectorWorld {
+/// A finished watch: when the device died, and when and by which scanner
+/// it was declared dead.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Declaration {
+    /// When the device died.
+    pub died_at: Time,
+    /// When a scanner declared it dead.
+    pub declared_at: Time,
+    /// The index of the scanner that declared it.
+    pub scanner: usize,
+}
+
+impl Declaration {
+    /// Death → declaration.
+    pub fn latency(&self) -> Duration {
+        self.declared_at.since(self.died_at)
+    }
+}
+
+/// One device watched by one or more scanners under the keep-alive rule.
+pub(crate) struct Watch {
     cfg: DetectionConfig,
+    not_before: Time,
     last_seen: Time,
-    alive: bool,
     died_at: Option<Time>,
-    detected_at: Option<Time>,
+    declared: Option<(Time, usize)>,
 }
 
-impl World<Ev> for DetectorWorld {
-    fn handle(&mut self, engine: &mut Engine<Ev>, now: Time, ev: Ev) {
+impl Watch {
+    /// Start a watch on `engine`: schedule the first keep-alive at
+    /// `probe_phase`, then each scanner's first tick at its phase (in index
+    /// order), then the death at `die_at`. No scanner declares before
+    /// `not_before`.
+    ///
+    /// # Panics
+    /// Panics if `scan_phases` is empty or any phase is not within one
+    /// probe interval.
+    pub fn start<E: From<WatchEv>>(
+        engine: &mut Engine<E>,
+        cfg: DetectionConfig,
+        probe_phase: Duration,
+        scan_phases: &[Duration],
+        die_at: Time,
+        not_before: Time,
+    ) -> Watch {
+        assert!(!scan_phases.is_empty(), "need at least one scanner");
+        assert!(probe_phase < cfg.probe_interval, "phase within one period");
+        engine.schedule(Time::ZERO + probe_phase, WatchEv::KeepAlive.into());
+        for (i, &phase) in scan_phases.iter().enumerate() {
+            assert!(phase < cfg.probe_interval, "phase within one period");
+            engine.schedule(Time::ZERO + phase, WatchEv::Scan(i).into());
+        }
+        engine.schedule(die_at, WatchEv::Die.into());
+        Watch {
+            cfg,
+            not_before,
+            last_seen: Time::ZERO,
+            died_at: None,
+            declared: None,
+        }
+    }
+
+    /// Start a watch on its own engine and run it until a scanner declares.
+    pub fn run(
+        cfg: DetectionConfig,
+        probe_phase: Duration,
+        scan_phases: &[Duration],
+        die_at: Time,
+    ) -> Declaration {
+        let mut engine: Engine<WatchEv> = Engine::new();
+        let mut watch = Watch::start(
+            &mut engine,
+            cfg,
+            probe_phase,
+            scan_phases,
+            die_at,
+            Time::ZERO,
+        );
+        engine.run(&mut watch);
+        // lint:allow(unwrap) — scans continue until one declares, and the death always runs
+        watch.declaration().expect("a scanner declares")
+    }
+
+    /// Apply `ev` at `now`. Returns whether it changed what the watch
+    /// knows: a keep-alive heard, the death, or the declaration.
+    pub fn observe<E: From<WatchEv>>(
+        &mut self,
+        engine: &mut Engine<E>,
+        now: Time,
+        ev: WatchEv,
+    ) -> bool {
         match ev {
-            Ev::KeepAlive => {
-                if self.alive {
-                    self.last_seen = now;
-                    engine.schedule_in(self.cfg.probe_interval, Ev::KeepAlive);
-                }
+            WatchEv::KeepAlive if self.died_at.is_none() => {
+                self.last_seen = now;
+                engine.schedule_in(self.cfg.probe_interval, WatchEv::KeepAlive.into());
+                true
             }
-            Ev::Die => {
-                self.alive = false;
+            WatchEv::KeepAlive => false,
+            WatchEv::Die => {
                 self.died_at = Some(now);
+                true
             }
-            Ev::Scan => {
-                if self.detected_at.is_none() {
-                    let silence = now.saturating_since(self.last_seen);
-                    let limit = self.cfg.silence_limit();
-                    if silence > limit {
-                        self.detected_at = Some(now);
-                        return; // stop scanning
-                    }
-                    engine.schedule_in(self.cfg.probe_interval, Ev::Scan);
+            WatchEv::Scan(_) if self.declared.is_some() => false,
+            WatchEv::Scan(i) => {
+                let silence = now.saturating_since(self.last_seen);
+                if self.died_at.is_some()
+                    && now >= self.not_before
+                    && silence > self.cfg.silence_limit()
+                {
+                    self.declared = Some((now, i));
+                    true
+                } else {
+                    engine.schedule_in(self.cfg.probe_interval, WatchEv::Scan(i).into());
+                    false
                 }
             }
         }
+    }
+
+    /// The declaration, once a scanner has fired.
+    pub fn declaration(&self) -> Option<Declaration> {
+        let (declared_at, scanner) = self.declared?;
+        Some(Declaration {
+            died_at: self.died_at?,
+            declared_at,
+            scanner,
+        })
+    }
+}
+
+impl World<WatchEv> for Watch {
+    fn handle(&mut self, engine: &mut Engine<WatchEv>, now: Time, ev: WatchEv) {
+        self.observe(engine, now, ev);
     }
 }
 
@@ -124,25 +238,7 @@ pub fn simulate_detection(
     scan_phase: Duration,
     die_at: Time,
 ) -> Duration {
-    assert!(probe_phase < cfg.probe_interval, "phase within one period");
-    assert!(scan_phase < cfg.probe_interval, "phase within one period");
-    let mut engine: Engine<Ev> = Engine::new();
-    engine.schedule(Time::ZERO + probe_phase, Ev::KeepAlive);
-    engine.schedule(Time::ZERO + scan_phase, Ev::Scan);
-    engine.schedule(die_at, Ev::Die);
-    let mut world = DetectorWorld {
-        cfg,
-        last_seen: Time::ZERO,
-        alive: true,
-        died_at: None,
-        detected_at: None,
-    };
-    engine.run(&mut world);
-    // lint:allow(unwrap) — the engine runs both scheduled events before returning
-    let died = world.died_at.expect("death event ran");
-    // lint:allow(unwrap) — the engine runs both scheduled events before returning
-    let detected = world.detected_at.expect("detector always fires");
-    detected.since(died)
+    Watch::run(cfg, probe_phase, &[scan_phase], die_at).latency()
 }
 
 /// The detection-latency distribution over `samples` random probe/scan

@@ -53,12 +53,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use sharebackup_sim::{Duration, Engine, SimRng, Time, World};
+use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_topo::{NodeId, PhysId};
 
 use crate::chaos::ChaosConfig;
 use crate::controller::{Controller, Recovery};
-use crate::detection::DetectionConfig;
+use crate::detection::{DetectionConfig, Watch};
 
 /// Error from naming a controller replica that does not exist.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -656,67 +656,12 @@ impl ElectionTimeline {
     }
 }
 
-enum ElEv {
-    /// The primary emits a heartbeat (if still alive).
-    Heartbeat,
-    /// The primary dies.
-    Crash,
-    /// Follower `i`'s scan tick.
-    Scan(usize),
-    /// The election completes.
-    Elected,
-}
-
-struct ElectionWorld {
-    heartbeat: DetectionConfig,
-    election_time: Duration,
-    alive: bool,
-    last_seen: Time,
-    crashed_at: Option<Time>,
-    detected_at: Option<Time>,
-    detector: Option<usize>,
-    elected_at: Option<Time>,
-}
-
-impl World<ElEv> for ElectionWorld {
-    fn handle(&mut self, engine: &mut Engine<ElEv>, now: Time, ev: ElEv) {
-        match ev {
-            ElEv::Heartbeat => {
-                if self.alive {
-                    self.last_seen = now;
-                    engine.schedule_in(self.heartbeat.probe_interval, ElEv::Heartbeat);
-                }
-            }
-            ElEv::Crash => {
-                self.alive = false;
-                self.crashed_at = Some(now);
-            }
-            ElEv::Scan(i) => {
-                if self.detected_at.is_some() {
-                    return;
-                }
-                let silence = now.saturating_since(self.last_seen);
-                if self.crashed_at.is_some() && silence > self.heartbeat.silence_limit() {
-                    self.detected_at = Some(now);
-                    self.detector = Some(i);
-                    engine.schedule_in(self.election_time, ElEv::Elected);
-                } else {
-                    engine.schedule_in(self.heartbeat.probe_interval, ElEv::Scan(i));
-                }
-            }
-            ElEv::Elected => {
-                self.elected_at = Some(now);
-            }
-        }
-    }
-}
-
 /// Play one primary crash on the discrete-event engine: the primary
 /// heartbeats with phase `heartbeat_phase`, each follower scans for
-/// silence with its own phase from `follower_phases` (§4.1 keep-alive
-/// machinery turned on the controllers), the primary dies at `crash_at`,
-/// and the election completes `election_time` after the first follower
-/// detects the silence.
+/// silence with its own phase from `follower_phases` (the §4.1 keep-alive
+/// watch of [`crate::detection`], turned on the controllers), the primary
+/// dies at `crash_at`, and the election completes `election_time` after
+/// the first follower detects the silence.
 ///
 /// The plane itself charges the closed-form
 /// [`FailoverConfig::blackout`]; this simulation shows that bound is
@@ -732,38 +677,12 @@ pub fn simulate_election(
     follower_phases: &[Duration],
     crash_at: Time,
 ) -> ElectionTimeline {
-    assert!(!follower_phases.is_empty(), "need at least one follower");
-    assert!(
-        heartbeat_phase < heartbeat.probe_interval,
-        "phase within one period"
-    );
-    let mut engine: Engine<ElEv> = Engine::new();
-    engine.schedule(Time::ZERO + heartbeat_phase, ElEv::Heartbeat);
-    for (i, &phase) in follower_phases.iter().enumerate() {
-        assert!(phase < heartbeat.probe_interval, "phase within one period");
-        engine.schedule(Time::ZERO + phase, ElEv::Scan(i));
-    }
-    engine.schedule(crash_at, ElEv::Crash);
-    let mut world = ElectionWorld {
-        heartbeat,
-        election_time,
-        alive: true,
-        last_seen: Time::ZERO,
-        crashed_at: None,
-        detected_at: None,
-        detector: None,
-        elected_at: None,
-    };
-    engine.run(&mut world);
+    let seen = Watch::run(heartbeat, heartbeat_phase, follower_phases, crash_at);
     ElectionTimeline {
-        // lint:allow(unwrap) — the crash event is scheduled up front and always runs
-        crashed_at: world.crashed_at.expect("crash ran"),
-        // lint:allow(unwrap) — some follower's scan always observes the silence
-        detected_at: world.detected_at.expect("a follower detects"),
-        // lint:allow(unwrap) — the election is scheduled at detection and always runs
-        elected_at: world.elected_at.expect("election completes"),
-        // lint:allow(unwrap) — set together with detected_at
-        detector: world.detector.expect("a follower detects"),
+        crashed_at: seen.died_at,
+        detected_at: seen.declared_at,
+        elected_at: seen.declared_at + election_time,
+        detector: seen.scanner,
     }
 }
 

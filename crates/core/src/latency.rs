@@ -65,8 +65,10 @@ impl Default for RecoveryLatencyModel {
 }
 
 impl RecoveryLatencyModel {
-    /// Expected detection delay: the probing interval (worst case — a probe
-    /// was just answered when the device died).
+    /// Expected detection delay: one probing interval, the **mean** of the
+    /// event-driven keep-alive detector at `miss_threshold` 1 (keep-alive
+    /// and scan phases independent). Its worst case is two intervals
+    /// ([`crate::DetectionConfig::worst_case`]).
     pub fn detection(&self) -> Duration {
         self.probe_interval
     }

@@ -49,7 +49,4 @@ pub use maintenance::{RollingUpgrade, UpgradeStep};
 pub use scenario::{
     map_chaos_schedule, sb_event, F10World, FatTreeWorld, RecoveryMode, ShareBackupWorld,
 };
-pub use timeline::{
-    simulate_recovery, simulate_recovery_traced, simulate_recovery_with_blackout, Timeline,
-    TimelineEvent,
-};
+pub use timeline::{simulate_recovery, Timeline, TimelineEvent};

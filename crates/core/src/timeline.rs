@@ -1,12 +1,12 @@
 //! End-to-end, event-driven recovery timeline (paper §4.1 + §5.3 combined).
 //!
-//! Where [`crate::latency`] gives the closed-form recovery latency and
-//! [`crate::detection`] simulates the keep-alive detector in isolation,
-//! this module plays the *whole* §4.1 sequence on the discrete-event
-//! engine, microsecond by microsecond:
+//! Where [`crate::latency`] gives the closed-form recovery latency, this
+//! module plays the *whole* §4.1 sequence on the discrete-event engine,
+//! microsecond by microsecond:
 //!
 //! 1. the victim switch keep-alives on its probe phase — until it dies;
-//! 2. the controller's scan notices the silence (detection);
+//! 2. the controller's scan notices the silence (detection: the
+//!    keep-alive watch of [`crate::detection`], embedded);
 //! 3. the controller processes the failure and picks a backup;
 //! 4. a reconfiguration command goes out to *each* circuit switch of the
 //!    failure group (sub-ms control channel);
@@ -23,7 +23,7 @@ use sharebackup_telemetry::{TracedWorld, Tracer};
 use sharebackup_topo::{CsId, PhysId, SlotId};
 
 use crate::controller::Controller;
-use crate::detection::DetectionConfig;
+use crate::detection::{DetectionConfig, Watch, WatchEv};
 
 /// One entry in the recovery timeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,12 +90,9 @@ impl Timeline {
         out
     }
 
-    /// Emit this timeline onto `tracer` as a machine-readable span tree:
-    /// a parent `recovery` span covering death → data-plane-whole, tiled
-    /// by three children — `detection` (death → detected), `diagnosis`
-    /// (detected → backup chosen) and `reconfiguration` (chosen →
-    /// recovered) — plus a `restored` instant at the recovery time. The
-    /// child durations sum exactly to [`Timeline::total_latency`].
+    /// Emit this timeline onto `tracer` as the recovery span tree, with
+    /// diagnosis ending when the backup was chosen. The child spans sum
+    /// exactly to [`Timeline::total_latency`].
     pub fn record_spans(&self, tracer: &Tracer) {
         if !tracer.is_enabled() {
             return;
@@ -105,39 +102,63 @@ impl Timeline {
             .iter()
             .find(|(_, e)| matches!(e, TimelineEvent::BackupChosen(_)))
             .map_or(self.detected_at, |(t, _)| *t);
-        tracer.span_begin(self.died_at, "recovery", "recovery");
-        tracer.span(self.died_at, self.detected_at, "recovery", "detection");
-        tracer.span(self.detected_at, chosen_at, "recovery", "diagnosis");
-        tracer.span(chosen_at, self.recovered_at, "recovery", "reconfiguration");
-        tracer.instant(self.recovered_at, "recovery", "restored");
-        tracer.span_end(self.recovered_at);
+        record_recovery_spans(
+            tracer,
+            self.died_at,
+            self.detected_at,
+            chosen_at,
+            self.recovered_at,
+        );
     }
 }
 
+/// Emit one recovery as a span tree on `tracer`: a parent `recovery` span
+/// from `died` to `recovered`, tiled by three children, plus a `restored`
+/// instant. The controller and the timeline share it but draw the
+/// boundaries differently (see their callers).
+///
+/// ```text
+/// recovery ├ detection        (died → detected)
+///          ├ diagnosis        (detected → chosen)
+///          ├ reconfiguration  (chosen → recovered)
+///          └ restored         (instant, at `recovered`)
+/// ```
+pub(crate) fn record_recovery_spans(
+    tracer: &Tracer,
+    died: Time,
+    detected: Time,
+    chosen: Time,
+    recovered: Time,
+) {
+    tracer.span_begin(died, "recovery", "recovery");
+    tracer.span(died, detected, "recovery", "detection");
+    tracer.span(detected, chosen, "recovery", "diagnosis");
+    tracer.span(chosen, recovered, "recovery", "reconfiguration");
+    tracer.instant(recovered, "recovery", "restored");
+    tracer.span_end(recovered);
+}
+
 enum Ev {
-    KeepAlive,
-    Die,
-    Scan,
+    Watch(WatchEv),
     Processed,
     CmdArrive(usize),
     ResetDone(usize),
     AckArrive(usize),
 }
 
+impl From<WatchEv> for Ev {
+    fn from(ev: WatchEv) -> Ev {
+        Ev::Watch(ev)
+    }
+}
+
 struct TimelineWorld {
-    detection: DetectionConfig,
+    watch: Watch,
     control_message: Duration,
     processing: Duration,
     reset_delay: Duration,
-    /// The controller cannot declare failures before this instant (dead
-    /// primary / election in progress); `Time::ZERO` = always available.
-    controller_available_at: Time,
     cs_ids: Vec<CsId>,
     backup: PhysId,
-    alive: bool,
-    last_seen: Time,
-    died_at: Option<Time>,
-    detected_at: Option<Time>,
     acks: usize,
     recovered_at: Option<Time>,
     events: Vec<(Time, TimelineEvent)>,
@@ -146,33 +167,19 @@ struct TimelineWorld {
 impl World<Ev> for TimelineWorld {
     fn handle(&mut self, engine: &mut Engine<Ev>, now: Time, ev: Ev) {
         match ev {
-            Ev::KeepAlive => {
-                if self.alive {
-                    self.last_seen = now;
-                    self.events.push((now, TimelineEvent::KeepAlive));
-                    engine.schedule_in(self.detection.probe_interval, Ev::KeepAlive);
-                }
-            }
-            Ev::Die => {
-                self.alive = false;
-                self.died_at = Some(now);
-                self.events.push((now, TimelineEvent::SwitchDied));
-            }
-            Ev::Scan => {
-                if self.detected_at.is_some() {
+            Ev::Watch(ev) => {
+                if !self.watch.observe(engine, now, ev) {
                     return;
                 }
-                let silence = now.saturating_since(self.last_seen);
-                let limit =
-                    self.detection.probe_interval * self.detection.miss_threshold as u64;
-                if self.died_at.is_some() && silence > limit && now >= self.controller_available_at
-                {
-                    self.detected_at = Some(now);
-                    self.events.push((now, TimelineEvent::Detected));
-                    engine.schedule_in(self.processing, Ev::Processed);
-                } else {
-                    engine.schedule_in(self.detection.probe_interval, Ev::Scan);
-                }
+                let seen = match ev {
+                    WatchEv::KeepAlive => TimelineEvent::KeepAlive,
+                    WatchEv::Die => TimelineEvent::SwitchDied,
+                    WatchEv::Scan(_) => {
+                        engine.schedule_in(self.processing, Ev::Processed);
+                        TimelineEvent::Detected
+                    }
+                };
+                self.events.push((now, seen));
             }
             Ev::Processed => {
                 self.events
@@ -209,47 +216,22 @@ impl World<Ev> for TimelineWorld {
 /// occupant at `die_at`, then apply the replacement to the topology.
 ///
 /// `probe_phase` staggers the victim's keep-alives within the probe
-/// interval (hosts and switches are not synchronized in practice).
-///
-/// # Panics
-/// Panics if the slot's group has no available backup.
-pub fn simulate_recovery(
-    ctl: &mut Controller,
-    slot: SlotId,
-    die_at: Time,
-    probe_phase: Duration,
-) -> Timeline {
-    simulate_recovery_traced(ctl, slot, die_at, probe_phase, &Tracer::off())
-}
-
-/// [`simulate_recovery`] with telemetry: every engine event is recorded
-/// as an instant (plus the `engine.events` counter and the
-/// `engine.queue_depth` histogram) via [`TracedWorld`], and the finished
-/// timeline is emitted as a recovery span tree via
-/// [`Timeline::record_spans`].
-///
-/// # Panics
-/// Panics if the slot's group has no available backup.
-pub fn simulate_recovery_traced(
-    ctl: &mut Controller,
-    slot: SlotId,
-    die_at: Time,
-    probe_phase: Duration,
-    tracer: &Tracer,
-) -> Timeline {
-    simulate_recovery_with_blackout(ctl, slot, die_at, probe_phase, Time::ZERO, tracer)
-}
-
-/// [`simulate_recovery_traced`] under a control-plane blackout: the
-/// controller's scan loop keeps running, but it cannot *declare* a failure
+/// interval (hosts and switches are not synchronized in practice); the
+/// controller scans on phase zero. Under a control-plane blackout the scan
+/// loop keeps running, but the controller cannot *declare* a failure
 /// before `controller_available_at` — the primary is dead or an election
-/// is still in progress (see [`crate::failover`]). With
-/// `controller_available_at == Time::ZERO` this is exactly
-/// [`simulate_recovery_traced`].
+/// is still in progress (see [`crate::failover`]); `Time::ZERO` means
+/// always available.
+///
+/// With `tracer` enabled, every engine event is recorded as an instant
+/// (plus the `engine.events` counter and the `engine.queue_depth`
+/// histogram) via [`TracedWorld`], and the finished timeline is emitted as
+/// a recovery span tree via [`Timeline::record_spans`].
 ///
 /// # Panics
-/// Panics if the slot's group has no available backup.
-pub fn simulate_recovery_with_blackout(
+/// Panics if the slot's group has no available backup, or if
+/// `probe_phase` is not within one probe interval.
+pub fn simulate_recovery(
     ctl: &mut Controller,
     slot: SlotId,
     die_at: Time,
@@ -263,36 +245,35 @@ pub fn simulate_recovery_with_blackout(
         .first()
         // lint:allow(unwrap) — callers hand in a freshly built fabric with n ≥ 1 spares
         .expect("a backup must be available");
-    let cs_ids = ctl.sb.slot_circuit_switches(slot);
     let detection = DetectionConfig {
         probe_interval: ctl.cfg.latency.probe_interval,
         miss_threshold: 1,
     };
     let mut engine: Engine<Ev> = Engine::new();
-    engine.schedule(Time::ZERO + probe_phase, Ev::KeepAlive);
-    engine.schedule(Time::ZERO, Ev::Scan);
-    engine.schedule(die_at, Ev::Die);
-    let mut world = TimelineWorld {
+    let watch = Watch::start(
+        &mut engine,
         detection,
+        probe_phase,
+        &[Duration::ZERO],
+        die_at,
+        controller_available_at,
+    );
+    let mut world = TimelineWorld {
+        watch,
         control_message: ctl.cfg.latency.control_message,
         processing: ctl.cfg.latency.controller_processing,
         reset_delay: ctl.sb.cfg.tech.reconfiguration_delay(),
-        controller_available_at,
-        cs_ids,
+        cs_ids: ctl.sb.slot_circuit_switches(slot),
         backup,
-        alive: true,
-        last_seen: Time::ZERO,
-        died_at: None,
-        detected_at: None,
         acks: 0,
         recovered_at: None,
         events: Vec::new(),
     };
     {
         let mut traced = TracedWorld::new(&mut world, tracer.clone(), |ev: &Ev| match ev {
-            Ev::KeepAlive => "keepalive",
-            Ev::Die => "die",
-            Ev::Scan => "scan",
+            Ev::Watch(WatchEv::KeepAlive) => "keepalive",
+            Ev::Watch(WatchEv::Die) => "die",
+            Ev::Watch(WatchEv::Scan(_)) => "scan",
             Ev::Processed => "processed",
             Ev::CmdArrive(_) => "cmd-arrive",
             Ev::ResetDone(_) => "reset-done",
@@ -301,21 +282,21 @@ pub fn simulate_recovery_with_blackout(
         engine.run(&mut traced);
     }
 
+    // lint:allow(unwrap) — the engine runs to quiescence, so the recovery event fired
+    let recovered_at = world.recovered_at.expect("recovered");
+    // lint:allow(unwrap) — same: the watch declared before the recovery began
+    let seen = world.watch.declaration().expect("detected");
     // Apply the replacement the timeline just orchestrated.
     let victim = ctl.sb.occupant(slot);
     ctl.sb.set_phys_healthy(victim, false);
-    // lint:allow(unwrap) — the engine runs to quiescence, so the recovery event fired
-    let recovery = ctl.handle_node_failure(victim, world.recovered_at.expect("recovered"));
+    let recovery = ctl.handle_node_failure(victim, recovered_at);
     assert!(recovery.fully_recovered(), "backup was available");
 
     let tl = Timeline {
         events: world.events,
-        // lint:allow(unwrap) — same: all three milestones fired during the run
-        died_at: world.died_at.expect("died"),
-        // lint:allow(unwrap) — same: all three milestones fired during the run
-        detected_at: world.detected_at.expect("detected"),
-        // lint:allow(unwrap) — same: all three milestones fired during the run
-        recovered_at: world.recovered_at.expect("recovered"),
+        died_at: seen.died_at,
+        detected_at: seen.declared_at,
+        recovered_at,
     };
     tl.record_spans(tracer);
     tl
@@ -343,6 +324,8 @@ mod tests {
             slot,
             Time::from_millis(5),
             Duration::from_micros(137),
+            Time::ZERO,
+            &Tracer::off(),
         );
         assert_eq!(
             tl.total_latency(),
@@ -368,7 +351,14 @@ mod tests {
         let die_at = Time::from_millis(10);
         let baseline = {
             let mut ctl = controller(CircuitTech::Crosspoint);
-            simulate_recovery(&mut ctl, slot, die_at, Duration::ZERO)
+            simulate_recovery(
+                &mut ctl,
+                slot,
+                die_at,
+                Duration::ZERO,
+                Time::ZERO,
+                &Tracer::off(),
+            )
         };
 
         // The control plane is electing until 60 ms (e.g. the primary died
@@ -376,7 +366,7 @@ mod tests {
         // the first post-blackout scan declares immediately.
         let available_at = Time::from_millis(60);
         let mut ctl = controller(CircuitTech::Crosspoint);
-        let tl = simulate_recovery_with_blackout(
+        let tl = simulate_recovery(
             &mut ctl,
             slot,
             die_at,
@@ -390,14 +380,15 @@ mod tests {
         assert_eq!(tl.repair_latency(), baseline.repair_latency());
         assert!(ctl.sb.slots.net.node(ctl.sb.slot_node(slot)).up);
 
-        // A zero blackout reproduces the baseline exactly.
+        // A blackout that ends before the silence is over the limit
+        // changes nothing.
         let mut ctl = controller(CircuitTech::Crosspoint);
-        let same = simulate_recovery_with_blackout(
+        let same = simulate_recovery(
             &mut ctl,
             slot,
             die_at,
             Duration::ZERO,
-            Time::ZERO,
+            die_at,
             &Tracer::off(),
         );
         assert_eq!(same.detected_at, baseline.detected_at);
@@ -413,6 +404,8 @@ mod tests {
             slot,
             Time::from_millis(3),
             Duration::ZERO,
+            Time::ZERO,
+            &Tracer::off(),
         );
         let acks = tl
             .events
@@ -434,8 +427,22 @@ mod tests {
         let mut a = controller(CircuitTech::Crosspoint);
         let mut b = controller(CircuitTech::Mems2D);
         let phase = Duration::from_micros(400);
-        let t1 = simulate_recovery(&mut a, GroupId::core(0).slot(0), Time::from_millis(7), phase);
-        let t2 = simulate_recovery(&mut b, GroupId::core(0).slot(0), Time::from_millis(7), phase);
+        let t1 = simulate_recovery(
+            &mut a,
+            GroupId::core(0).slot(0),
+            Time::from_millis(7),
+            phase,
+            Time::ZERO,
+            &Tracer::off(),
+        );
+        let t2 = simulate_recovery(
+            &mut b,
+            GroupId::core(0).slot(0),
+            Time::from_millis(7),
+            phase,
+            Time::ZERO,
+            &Tracer::off(),
+        );
         assert_eq!(t1.detection_latency(), t2.detection_latency());
         let delta = t2.repair_latency() - t1.repair_latency();
         assert_eq!(
@@ -452,6 +459,8 @@ mod tests {
             GroupId::agg(1).slot(0),
             Time::from_millis(2),
             Duration::from_micros(10),
+            Time::ZERO,
+            &Tracer::off(),
         );
         for w in tl.events.windows(2) {
             assert!(w[0].0 <= w[1].0, "timeline must be chronological");
@@ -544,11 +553,12 @@ mod tests {
     fn traced_simulation_records_engine_instants_and_span_tree() {
         let (tracer, sink) = sharebackup_telemetry::Tracer::recording();
         let mut ctl = controller(CircuitTech::Crosspoint);
-        let tl = simulate_recovery_traced(
+        let tl = simulate_recovery(
             &mut ctl,
             GroupId::agg(0).slot(1),
             Time::from_millis(5),
             Duration::from_micros(137),
+            Time::ZERO,
             &tracer,
         );
         let buf = sink.borrow_mut().take();

@@ -51,5 +51,5 @@ pub mod time;
 
 pub use engine::{Engine, World};
 pub use rng::SimRng;
-pub use stats::{Cdf, Histogram, Summary};
+pub use stats::{Cdf, Summary};
 pub use time::{Duration, Time};

@@ -1,4 +1,4 @@
-//! Statistics helpers for experiment output: summaries, CDFs, histograms.
+//! Statistics helpers for experiment output: summaries and CDFs.
 //!
 //! Every figure in the paper is either a CDF (Fig. 1c), a rate curve
 //! (Fig. 1a/1b), or a bar chart (Fig. 5); these types carry the sample sets
@@ -144,85 +144,6 @@ impl Cdf {
     }
 }
 
-/// A fixed-bin histogram over `[lo, hi)`, with underflow/overflow buckets.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// A histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(lo < hi, "invalid histogram range");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            // x is in [lo, hi), so the quotient is in [0, bins); clamped
-            // below anyway for the exact-upper-edge float case.
-            #[allow(clippy::cast_possible_truncation)]
-            let idx = ((x - self.lo) / width) as usize;
-            // Floating point can land exactly on the upper edge; clamp.
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total samples recorded, including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Per-bin counts (excluding under/overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// (bin center, count) pairs for plotting.
-    pub fn series(&self) -> Vec<(f64, u64)> {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + (i as f64 + 0.5) * width, c))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,28 +186,5 @@ mod tests {
         let series = cdf.series(3);
         assert_eq!(series[0], (0.0, 1.0));
         assert_eq!(series[2], (1.0, 3.0));
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        h.record(-1.0);
-        h.record(10.0);
-        h.record(99.0);
-        assert_eq!(h.count(), 13);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert!(h.bins().iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn histogram_series_centers() {
-        let mut h = Histogram::new(0.0, 2.0, 2);
-        h.record(0.5);
-        let s = h.series();
-        assert_eq!(s, vec![(0.5, 1), (1.5, 0)]);
     }
 }

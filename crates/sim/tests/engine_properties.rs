@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use sharebackup_sim::{Cdf, Engine, Histogram, SimRng, Summary, Time};
+use sharebackup_sim::{Cdf, Engine, SimRng, Summary, Time};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -75,21 +75,6 @@ proptest! {
         // Quantile is within sample range.
         let q = cdf.quantile(0.5);
         prop_assert!(q >= cdf.quantile(0.0) && q <= cdf.quantile(1.0));
-    }
-
-    /// Histogram conserves counts.
-    #[test]
-    fn histogram_conserves(samples in prop::collection::vec(-10f64..110.0, 0..200)) {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for &s in &samples {
-            h.record(s);
-        }
-        let binned: u64 = h.bins().iter().sum();
-        prop_assert_eq!(
-            binned + h.underflow() + h.overflow(),
-            samples.len() as u64
-        );
-        prop_assert_eq!(h.count(), samples.len() as u64);
     }
 
     /// Seeded RNG streams are reproducible and children independent.

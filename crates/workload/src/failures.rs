@@ -161,24 +161,6 @@ impl FailureInjector {
             .collect()
     }
 
-    /// The paper's §2.2 scenario: a single failure at `at` lasting
-    /// `duration` (default: strikes early in a 5-minute partition, outlasts
-    /// it).
-    pub fn single_failure(
-        &self,
-        rng: &mut SimRng,
-        node: bool,
-        at: Time,
-        duration: Duration,
-    ) -> FailureEvent {
-        let kind = if node {
-            FailureKind::Node(self.sample_nodes(rng, 1)[0])
-        } else {
-            FailureKind::Link(self.sample_links(rng, 1)[0])
-        };
-        FailureEvent { kind, at, duration }
-    }
-
     /// A Poisson failure process over `horizon`: each event picks a random
     /// element (node with probability `node_fraction`), exponential
     /// inter-arrival with mean `mean_interarrival`, and exponential outage
@@ -462,14 +444,6 @@ impl ChaosProfile {
     }
 }
 
-/// Count of switches implied by a device availability figure: with
-/// availability `a` (e.g. 0.9999), the expected fraction of switches down
-/// at any instant is `1 - a` — the number the paper's §5.1 compares the
-/// backup ratio n/(k/2) against.
-pub fn expected_down_fraction(availability: f64) -> f64 {
-    (1.0 - availability).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,20 +482,24 @@ mod tests {
     fn apply_and_repair_round_trip() {
         let (mut ft, inj) = inj();
         let mut rng = SimRng::seed_from_u64(2);
-        let ev = inj.single_failure(
-            &mut rng,
-            true,
-            Time::from_secs(10),
-            Duration::from_secs(120),
-        );
-        assert_eq!(ev.repaired_at(), Time::from_secs(130));
-        let FailureKind::Node(n) = ev.kind else {
-            panic!("asked for a node failure")
-        };
-        FailureInjector::apply(&mut ft.net, ev.kind);
-        assert!(!ft.net.node(n).up);
-        FailureInjector::repair(&mut ft.net, ev.kind);
-        assert!(ft.net.node(n).up);
+        let node = FailureKind::Node(inj.sample_nodes(&mut rng, 1)[0]);
+        let link = FailureKind::Link(inj.sample_links(&mut rng, 1)[0]);
+        for kind in [node, link] {
+            let up = |net: &Network| match kind {
+                FailureKind::Node(n) => net.node(n).up,
+                FailureKind::Link(l) => net.link(l).up,
+            };
+            let ev = FailureEvent {
+                kind,
+                at: Time::from_secs(10),
+                duration: Duration::from_secs(120),
+            };
+            assert_eq!(ev.repaired_at(), Time::from_secs(130));
+            FailureInjector::apply(&mut ft.net, ev.kind);
+            assert!(!up(&ft.net), "{kind:?} applied");
+            FailureInjector::repair(&mut ft.net, ev.kind);
+            assert!(up(&ft.net), "{kind:?} repaired");
+        }
     }
 
     #[test]
@@ -701,12 +679,6 @@ mod tests {
             assert!(b_flaps.contains(e), "flap schedule preserved: {e:?}");
         }
         assert!(b.len() > a.len(), "poisson component added events");
-    }
-
-    #[test]
-    fn availability_math() {
-        assert!((expected_down_fraction(0.9999) - 0.0001).abs() < 1e-12);
-        assert_eq!(expected_down_fraction(1.0), 0.0);
     }
 
     #[test]
