@@ -115,7 +115,6 @@ pub struct RerouteWorld<R> {
     pub router: R,
     /// Event applied at epoch `i`.
     pub events: Vec<TopoEvent>,
-    failures_active: usize,
 }
 
 /// Plain fat-tree with rerouting-based recovery.
@@ -131,7 +130,6 @@ impl FatTreeWorld {
             ft,
             router: mode,
             events,
-            failures_active: 0,
         }
     }
 }
@@ -143,7 +141,6 @@ impl F10World {
             ft: f10.into(),
             router: F10Router,
             events,
-            failures_active: 0,
         }
     }
 }
@@ -156,13 +153,13 @@ impl<R: Rerouter> Environment for RerouteWorld<R> {
         self.ft.net.link_between(a, b)
     }
     fn route(&mut self, flow: &FlowKey) -> Option<Vec<NodeId>> {
-        if self.failures_active == 0 {
+        if self.ft.net.all_up() {
             return Some(ecmp_path(&self.ft, flow));
         }
         self.router.reroute(&self.ft, flow)
     }
     fn route_all(&mut self, flows: &[FlowKey]) -> Vec<Option<Vec<NodeId>>> {
-        if self.failures_active == 0 {
+        if self.ft.net.all_up() {
             flows.iter().map(|f| self.route(f)).collect()
         } else {
             self.router.reroute_all(&self.ft, flows)
@@ -175,11 +172,6 @@ impl<R: Rerouter> Environment for RerouteWorld<R> {
             TopoEvent::FailLink(l) => net.set_link_up(l, false),
             TopoEvent::RepairNode(n) => net.set_node_up(n, true),
             TopoEvent::RepairLink(l) => net.set_link_up(l, true),
-        }
-        if matches!(self.events[index], TopoEvent::FailNode(_) | TopoEvent::FailLink(_)) {
-            self.failures_active += 1;
-        } else {
-            self.failures_active = self.failures_active.saturating_sub(1);
         }
     }
 }
@@ -358,6 +350,12 @@ impl Environment for ShareBackupWorld {
         self.sb().slots.net.link_between(a, b)
     }
     fn route(&mut self, flow: &FlowKey) -> Option<Vec<NodeId>> {
+        // A flow whose endpoints sit in different components has neither a
+        // usable static path nor a fallback, so both modes answer `None`
+        // without building a path (and without touching the tracker).
+        if !self.sb().slots.net.connected(flow.src, flow.dst) {
+            return None;
+        }
         // ShareBackup never reroutes: the static ECMP path, usable or not.
         // During the (sub-3ms) recovery window the path is down and the
         // flow stalls; after recovery the *same* path works again.
@@ -807,6 +805,92 @@ mod tests {
         let t = out.flows[0].completed.expect("finishes after repair");
         assert!(t > Time::from_secs(60));
         assert!(out.flows[0].ever_stalled);
+    }
+
+    #[test]
+    fn repeated_repair_does_not_hide_a_dead_switch() {
+        // A repair of an element that is already up must not count as one
+        // failure fewer: the world would take every flow back to its static
+        // path while edge(1,0) is still dead, a silent blackhole.
+        let ft = FatTree::build(FatTreeConfig::new(4));
+        let (core, edge) = (ft.core(0), ft.edge(1, 0));
+        let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
+        let dst = ft.host(HostAddr { pod: 1, edge: 0, host: 0 });
+        let events = vec![
+            TopoEvent::FailNode(core),
+            TopoEvent::FailNode(edge),
+            TopoEvent::RepairNode(core),
+            TopoEvent::RepairNode(core),
+        ];
+        let mut world = FatTreeWorld::new(ft, RecoveryMode::GlobalOptimal, events);
+        for i in 0..4 {
+            world.on_epoch(i, Time::from_millis(i as u64));
+        }
+        assert!(!world.ft.net.all_up());
+        assert_eq!(world.route(&FlowKey::new(src, dst, 0)), None);
+        let flows: Vec<FlowKey> = (0..8).map(|id| FlowKey::new(src, dst, id)).collect();
+        assert!(world.route_all(&flows).iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn broken_destination_nic_is_unroutable_in_both_modes() {
+        use sharebackup_routing::DegradedMode;
+
+        for mode in [DegradedMode::Stall, DegradedMode::Reroute] {
+            let sb = ShareBackup::build(ShareBackupConfig::new(4, 1));
+            let controller = Controller::new(sb, ControllerConfig::default());
+            let mut world = ShareBackupWorld::new(controller, vec![]).with_degraded_mode(mode);
+            let src = world.sb().slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
+            let dst = world.sb().slots.host(HostAddr { pod: 2, edge: 1, host: 0 });
+            SbEvent::HostLinkFail {
+                host: dst,
+                switch_side: false,
+            }
+            .inject(&mut world.controller.sb);
+            let flow = FlowKey::new(src, dst, 3);
+            assert_eq!(world.route(&flow), None, "{mode:?}");
+            assert_eq!(world.controller.stats.degraded_flows, 0, "{mode:?}");
+            assert!(!world.tracker.contains(flow.id), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn recovery_completed_in_on_advance_is_seen_by_the_next_route() {
+        // The primary is down when the report arrives, so the recovery is
+        // journaled and completes only when `on_advance` passes the
+        // blackout: no epoch lies in between.
+        use crate::failover::{FailoverConfig, FailoverPlane};
+
+        let sb = ShareBackup::build(ShareBackupConfig::new(4, 1));
+        let controller = Controller::new(sb, ControllerConfig::default());
+        let plane = FailoverPlane::new(FailoverConfig::default());
+        let blackout = plane.cfg.blackout();
+        let mut world = ShareBackupWorld::new(controller, vec![]).with_failover(plane);
+        let src = world.sb().slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
+        let dst = world.sb().slots.host(HostAddr { pod: 2, edge: 1, host: 0 });
+        let flow = FlowKey::new(src, dst, 7);
+        // Not `route`: the first connectivity answer must come after the
+        // failure, so that a labelling not cleared by the recovery would
+        // still say "cut off" below.
+        let original = ecmp_path(&world.sb().slots, &flow);
+        // The destination's edge switch: its death cuts the host off.
+        let victim = world
+            .sb()
+            .occupant(world.sb().node_slot(original[5]).expect("edge slot"));
+        world.events = vec![
+            SbEvent::ControllerCrash(0),
+            SbEvent::NodeFail(victim),
+            SbEvent::Recover,
+        ];
+        for i in 0..3 {
+            world.on_epoch(i, Time::from_millis(1 + i as u64));
+        }
+        assert!(world.failover_log.is_empty(), "journaled during the blackout");
+        assert_eq!(world.route(&flow), None, "destination cut off");
+
+        world.on_advance(Time::from_millis(3) + blackout + Duration::from_secs(1));
+        assert_eq!(world.failover_log.len(), 1, "recovered in on_advance");
+        assert_eq!(world.route(&flow), Some(original));
     }
 
     #[test]

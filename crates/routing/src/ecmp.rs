@@ -16,10 +16,8 @@ use crate::flow::FlowKey;
 /// fat-tree forwards along until a rerouting mechanism intervenes, and the
 /// route ShareBackup keeps using forever (its topology heals instead).
 pub fn ecmp_path(ft: &FatTree, flow: &FlowKey) -> Vec<NodeId> {
-    let paths = ft.host_paths(flow.src, flow.dst);
-    let pick = flow.pick(paths.len());
-    // lint:allow(unwrap) — `pick(n)` asserts n > 0 and returns hash % n < n
-    paths.into_iter().nth(pick).expect("pick is in range")
+    let pick = flow.pick(ft.host_path_count(flow.src, flow.dst));
+    ft.host_path(flow.src, flow.dst, pick)
 }
 
 #[cfg(test)]

@@ -15,7 +15,9 @@
 //!
 //! Either way, a flow whose endpoints are cut off (e.g. its edge switch
 //! died) gets `None` — those are the unrecoverable casualties rerouting
-//! cannot save, which the affected-flow metric counts.
+//! cannot save, which the affected-flow metric counts. That answer comes
+//! from [`sharebackup_topo::Network::connected`] before any candidate path
+//! is built.
 
 use std::collections::BTreeMap;
 
@@ -44,6 +46,9 @@ impl GlobalReroute {
     /// would find; we extend the search with a BFS fallback so the baseline
     /// keeps connectivity whenever the graph allows it.
     pub fn route(ft: &FatTree, flow: &FlowKey) -> Option<Vec<NodeId>> {
+        if !ft.net.connected(flow.src, flow.dst) {
+            return None;
+        }
         let paths = Self::surviving_paths(ft, flow);
         if paths.is_empty() {
             return ft.net.bfs_path(flow.src, flow.dst);
@@ -62,14 +67,13 @@ impl GlobalReroute {
         let mut load: BTreeMap<LinkId, u64> = BTreeMap::new();
         let mut out = Vec::with_capacity(flows.len());
         for flow in flows {
+            if !ft.net.connected(flow.src, flow.dst) {
+                out.push(None);
+                continue;
+            }
             let mut candidates = Self::surviving_paths(ft, flow);
             if candidates.is_empty() {
-                if let Some(p) = ft.net.bfs_path(flow.src, flow.dst) {
-                    candidates = vec![p];
-                } else {
-                    out.push(None);
-                    continue;
-                }
+                candidates.extend(ft.net.bfs_path(flow.src, flow.dst));
             }
             let links_of = |p: &[NodeId]| -> Vec<LinkId> {
                 p.windows(2)
@@ -94,7 +98,7 @@ impl GlobalReroute {
                     best = Some(key);
                 }
             }
-            // lint:allow(unwrap) — the empty-candidates case pushed None above
+            // lint:allow(unwrap) — a connected pair always has a BFS path
             let (_, _, idx) = best.expect("candidates nonempty");
             let chosen = candidates.swap_remove(idx);
             for l in links_of(&chosen) {

@@ -298,42 +298,73 @@ impl FatTree {
 
     /// All equal-cost shortest paths between two hosts, as node sequences
     /// including both endpoints (ignores failure state — callers filter with
-    /// [`Network::path_usable`]).
+    /// [`Network::path_usable`]): [`FatTree::host_path`] for every index
+    /// below [`FatTree::host_path_count`].
     ///
     /// * Same edge switch: 1 path of 2 hops.
     /// * Same pod, different edge: k/2 paths of 4 hops.
     /// * Different pods: (k/2)² paths of 6 hops.
     pub fn host_paths(&self, src: NodeId, dst: NodeId) -> Vec<Vec<NodeId>> {
-        let half = self.cfg.k / 2;
-        let s = self.addr_of(src);
-        let d = self.addr_of(dst);
+        (0..self.host_path_count(src, dst))
+            .map(|i| self.host_path(src, dst, i))
+            .collect()
+    }
+
+    /// Number of equal-cost shortest paths between two hosts.
+    ///
+    /// # Panics
+    /// Panics if `src == dst` or either is not a host.
+    pub fn host_path_count(&self, src: NodeId, dst: NodeId) -> usize {
+        let (s, d) = (self.addr_of(src), self.addr_of(dst));
         assert!(src != dst, "src == dst");
+        self.path_count_between(s, d)
+    }
+
+    /// [`FatTree::host_path_count`] for two distinct host addresses.
+    fn path_count_between(&self, s: HostAddr, d: HostAddr) -> usize {
+        let half = self.cfg.k / 2;
+        if s.pod != d.pod {
+            half * half
+        } else if s.edge != d.edge {
+            half
+        } else {
+            1
+        }
+    }
+
+    /// The `i`-th equal-cost shortest path between two hosts, in
+    /// [`FatTree::host_paths`] order: within a pod, `i` is the agg index;
+    /// across pods, the source agg is `a = i / (k/2)` and its uplink
+    /// `m = i % (k/2)`.
+    ///
+    /// # Panics
+    /// Panics if `src == dst`, either is not a host, or
+    /// `i >= host_path_count(src, dst)`.
+    pub fn host_path(&self, src: NodeId, dst: NodeId, i: usize) -> Vec<NodeId> {
+        let (s, d) = (self.addr_of(src), self.addr_of(dst));
+        assert!(src != dst, "src == dst");
+        let count = self.path_count_between(s, d);
+        assert!(i < count, "path index {i} out of {count}");
+        let half = self.cfg.k / 2;
         let se = self.edges[s.pod][s.edge];
         let de = self.edges[d.pod][d.edge];
-        if s.pod == d.pod && s.edge == d.edge {
-            return vec![vec![src, se, dst]];
+        if count == 1 {
+            return vec![src, se, dst];
         }
         if s.pod == d.pod {
-            return (0..half)
-                .map(|a| vec![src, se, self.aggs[s.pod][a], de, dst])
-                .collect();
+            return vec![src, se, self.aggs[s.pod][i], de, dst];
         }
-        let mut paths = Vec::with_capacity(half * half);
-        for a in 0..half {
-            for m in 0..half {
-                let c = self.core_of(s.pod, a, m);
-                paths.push(vec![
-                    src,
-                    se,
-                    self.aggs[s.pod][a],
-                    self.cores[c],
-                    self.aggs[d.pod][self.agg_for_core(d.pod, c)],
-                    de,
-                    dst,
-                ]);
-            }
-        }
-        paths
+        let (a, m) = (i / half, i % half);
+        let c = self.core_of(s.pod, a, m);
+        vec![
+            src,
+            se,
+            self.aggs[s.pod][a],
+            self.cores[c],
+            self.aggs[d.pod][self.agg_for_core(d.pod, c)],
+            de,
+            dst,
+        ]
     }
 }
 
@@ -410,6 +441,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn path_index_names_agg_then_uplink() {
+        let ft = FatTree::build(FatTreeConfig::new(6));
+        let src = ft.host(HostAddr { pod: 1, edge: 0, host: 2 });
+        let dst = ft.host(HostAddr { pod: 4, edge: 2, host: 0 });
+        assert_eq!(ft.host_path_count(src, dst), 9);
+        for i in 0..9 {
+            let (a, m) = (i / 3, i % 3);
+            let p = ft.host_path(src, dst, i);
+            assert_eq!(p[2], ft.agg(1, a));
+            assert_eq!(p[3], ft.core(ft.core_of(1, a, m)));
+        }
+        let sibling = ft.host(HostAddr { pod: 1, edge: 2, host: 0 });
+        assert_eq!(ft.host_path_count(src, sibling), 3);
+        assert_eq!(ft.host_path(src, sibling, 2)[2], ft.agg(1, 2));
+        let neighbor = ft.host(HostAddr { pod: 1, edge: 0, host: 0 });
+        assert_eq!(ft.host_path_count(src, neighbor), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "path index 3 out of 3")]
+    fn path_index_out_of_range_panics() {
+        let ft = FatTree::build(FatTreeConfig::new(6));
+        let src = ft.host(HostAddr { pod: 1, edge: 0, host: 2 });
+        let dst = ft.host(HostAddr { pod: 1, edge: 2, host: 0 });
+        ft.host_path(src, dst, 3);
     }
 
     #[test]

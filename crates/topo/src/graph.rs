@@ -6,6 +6,8 @@
 //! control plane. Failure state lives here: nodes and links can be marked
 //! down, and all path queries respect that state.
 
+use std::sync::OnceLock;
+
 use crate::ids::{LinkId, NodeId};
 
 /// What kind of device a node is.
@@ -70,12 +72,26 @@ impl Link {
     }
 }
 
+/// Component label of a down node: it belongs to no component.
+const NO_COMPONENT: u32 = u32::MAX;
+
 /// The logical network: an arena of nodes and undirected links.
+///
+/// Besides the graph it keeps two derived views of the failure state, both
+/// maintained by the setters [`Network::set_node_up`] and
+/// [`Network::set_link_up`] and touched only when a state actually changes:
+/// a count of down nodes and links ([`Network::all_up`]) and a component
+/// labelling over usable links ([`Network::connected`]). The labelling is
+/// built lazily on the first query after a change, so a burst of setter
+/// calls costs one rebuild; it sits in a [`OnceLock`], which keeps
+/// `&Network` shareable across threads.
 #[derive(Clone, Debug, Default)]
 pub struct Network {
     nodes: Vec<Node>,
     links: Vec<Link>,
     adjacency: Vec<Vec<LinkId>>,
+    down: usize,
+    components: OnceLock<Vec<u32>>,
 }
 
 impl Network {
@@ -94,6 +110,7 @@ impl Network {
             up: true,
         });
         self.adjacency.push(Vec::new());
+        self.components.take();
         id
     }
 
@@ -112,6 +129,7 @@ impl Network {
         });
         self.adjacency[a.0 as usize].push(id);
         self.adjacency[b.0 as usize].push(id);
+        self.components.take();
         id
     }
 
@@ -152,12 +170,78 @@ impl Network {
 
     /// Mark a node up or down.
     pub fn set_node_up(&mut self, n: NodeId, up: bool) {
-        self.nodes[n.0 as usize].up = up;
+        let node = &mut self.nodes[n.0 as usize];
+        if node.up != up {
+            node.up = up;
+            self.state_changed(up);
+        }
     }
 
     /// Mark a link up or down.
     pub fn set_link_up(&mut self, l: LinkId, up: bool) {
-        self.links[l.0 as usize].up = up;
+        let link = &mut self.links[l.0 as usize];
+        if link.up != up {
+            link.up = up;
+            self.state_changed(up);
+        }
+    }
+
+    /// One node or link flipped to `up`: keep the down count and drop the
+    /// component labelling.
+    fn state_changed(&mut self, up: bool) {
+        if up {
+            self.down -= 1;
+        } else {
+            self.down += 1;
+        }
+        self.components.take();
+    }
+
+    /// True iff no node and no link is marked down.
+    pub fn all_up(&self) -> bool {
+        self.down == 0
+    }
+
+    /// Whether a usable path joins `a` and `b`: exactly
+    /// `self.bfs_path(a, b).is_some()`, answered in O(1) from the
+    /// component labelling (rebuilt in O(nodes + links) on the first query
+    /// after a state change). A node is always connected to itself.
+    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
+        let labels = self.components.get_or_init(|| self.label_components());
+        let (la, lb) = (labels[a.0 as usize], labels[b.0 as usize]);
+        let connected = a == b || (la != NO_COMPONENT && la == lb);
+        #[cfg(feature = "strict-invariants")]
+        assert_eq!(
+            connected,
+            self.bfs_search(a, b).is_some(),
+            "component labelling disagrees with BFS for {a:?} -> {b:?}"
+        );
+        connected
+    }
+
+    /// Label every up node with the index of its component over usable
+    /// links; down nodes get [`NO_COMPONENT`].
+    fn label_components(&self) -> Vec<u32> {
+        let mut labels = vec![NO_COMPONENT; self.nodes.len()];
+        let mut stack = Vec::with_capacity(self.nodes.len());
+        let mut next = 0u32;
+        for start in self.node_ids() {
+            if labels[start.0 as usize] != NO_COMPONENT || !self.node(start).up {
+                continue;
+            }
+            labels[start.0 as usize] = next;
+            stack.push(start);
+            while let Some(cur) = stack.pop() {
+                for (n, _) in self.up_neighbors(cur) {
+                    if labels[n.0 as usize] == NO_COMPONENT {
+                        labels[n.0 as usize] = next;
+                        stack.push(n);
+                    }
+                }
+            }
+            next += 1;
+        }
+        labels
     }
 
     /// A link is usable iff it and both endpoints are up.
@@ -201,14 +285,21 @@ impl Network {
     /// Breadth-first shortest path from `src` to `dst` over usable links.
     ///
     /// Returns the node sequence including both endpoints, or `None` if
-    /// disconnected. Deterministic: neighbors are explored in link-insertion
-    /// order.
+    /// disconnected. A disconnected pair is answered from
+    /// [`Network::connected`] without a search. Deterministic: neighbors are
+    /// explored in link-insertion order.
     pub fn bfs_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+        if !self.connected(src, dst) {
+            return None;
+        }
+        self.bfs_search(src, dst)
+    }
+
+    /// The search behind [`Network::bfs_path`], without the connectivity
+    /// shortcut.
+    fn bfs_search(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
         if src == dst {
             return Some(vec![src]);
-        }
-        if !self.node(src).up || !self.node(dst).up {
-            return None;
         }
         let mut prev: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
         let mut visited = vec![false; self.nodes.len()];
@@ -329,6 +420,40 @@ mod tests {
         net.set_node_up(n[2], true);
         net.set_link_up(l[2], true);
         assert_eq!(net.distance(n[0], n[3]), Some(2));
+    }
+
+    #[test]
+    fn all_up_counts_state_changes_not_setter_calls() {
+        let (mut net, n, l) = triangle();
+        assert!(net.all_up());
+        net.set_node_up(n[2], false);
+        net.set_node_up(n[2], false);
+        net.set_node_up(n[2], true);
+        assert!(net.all_up(), "one repair undoes a repeated failure");
+        net.set_link_up(l[0], false);
+        net.set_node_up(n[2], true);
+        assert!(!net.all_up(), "repairing an up node hides no failure");
+        net.set_link_up(l[0], true);
+        assert!(net.all_up());
+    }
+
+    #[test]
+    fn connected_follows_every_state_change() {
+        let (mut net, n, l) = triangle();
+        assert!(net.connected(n[0], n[3]));
+        net.set_link_up(l[3], false);
+        assert!(!net.connected(n[0], n[3]));
+        assert!(net.connected(n[0], n[2]));
+        net.set_link_up(l[3], true);
+        net.set_node_up(n[3], false);
+        assert!(!net.connected(n[0], n[3]));
+        assert!(net.connected(n[3], n[3]), "a node reaches itself");
+        net.set_node_up(n[3], true);
+        assert!(net.connected(n[0], n[3]));
+        let e = net.add_node(NodeKind::Host, Some(0), 2);
+        assert!(!net.connected(n[0], e), "a new node starts alone");
+        net.add_link(n[2], e, 10e9);
+        assert!(net.connected(n[0], e));
     }
 
     #[test]
